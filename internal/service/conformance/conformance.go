@@ -395,6 +395,50 @@ func Fixtures(t testing.TB) []Fixture {
 			WantBody:   fmt.Sprintf("permd: epoch=%d outside [0, %d]\n", MaxEpoch+1, MaxEpoch),
 			Exact:      true,
 		},
+		{
+			Name: "epochs missing n", Method: "GET",
+			Path:       "/v1/epochs?seed=1",
+			WantStatus: 400,
+			WantBody:   "permd: missing or negative n: the dataset size n is required\n",
+			Exact:      true,
+		},
+		{
+			Name: "epochs start past end", Method: "GET",
+			Path:       "/v1/epochs?seed=1&n=100&start=200",
+			WantStatus: 400,
+			WantBody:   "permd: start=200 outside [0, 100]\n", Exact: true,
+		},
+		{
+			Name: "epochs negative len", Method: "GET",
+			Path:       "/v1/epochs?seed=1&n=100&len=-3",
+			WantStatus: 400,
+			WantBody:   "permd: bad len=\"-3\": want a non-negative decimal integer\n", Exact: true,
+		},
+		{
+			Name: "sample malformed seed", Method: "GET",
+			Path:       "/v1/sample?n=10&k=1&seed=abc",
+			WantStatus: 400,
+			WantBody:   "permd: bad seed \"abc\": want a decimal uint64\n", Exact: true,
+		},
+		{
+			Name: "shuffle malformed seed", Method: "POST",
+			Path:       "/v1/shuffle?seed=abc",
+			Body:       "a\nb\n",
+			WantStatus: 400,
+			WantBody:   "permd: bad seed \"abc\": want a decimal uint64\n", Exact: true,
+		},
+		{
+			Name: "assign malformed seed", Method: "GET",
+			Path:       "/v1/assign?seed=abc&n=100&id=0&spec=a:1",
+			WantStatus: 400,
+			WantBody:   "permd: bad seed \"abc\": want a decimal uint64\n", Exact: true,
+		},
+		{
+			Name: "epochs malformed seed", Method: "GET",
+			Path:       "/v1/epochs?seed=abc&n=100",
+			WantStatus: 400,
+			WantBody:   "permd: bad seed \"abc\": want a decimal uint64\n", Exact: true,
+		},
 
 		// --- workload quota: the second metered identity's budget of
 		// MeteredWLBudget = 4 items, debited exactly as served ---
