@@ -37,8 +37,43 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("%v.String() = %q, want %q", got, got.String(), s)
 		}
 	}
-	if _, err := randperm.ParseBackend("quantum"); err == nil {
-		t.Error("ParseBackend accepted garbage")
+	for s, want := range map[string]randperm.Backend{
+		"sharedmem":    randperm.BackendSharedMem,
+		"shared-mem":   randperm.BackendSharedMem,
+		"in-place":     randperm.BackendInPlace,
+		"mergeshuffle": randperm.BackendInPlace,
+		"feistel":      randperm.BackendBijective,
+		"cgm":          randperm.BackendCluster,
+	} {
+		if got, err := randperm.ParseBackend(s); err != nil || got != want {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"quantum", "gpu"} {
+		if _, err := randperm.ParseBackend(s); err == nil {
+			t.Errorf("ParseBackend accepted garbage %q", s)
+		}
+	}
+	if got := randperm.Backend(9).String(); got != "Backend(9)" {
+		t.Errorf("Backend(9).String() = %q, want \"Backend(9)\"", got)
+	}
+}
+
+// TestUnknownBackendRefused: a Backend value outside the enumeration is
+// an error naming the value on every entry point, never a silent run of
+// some other engine.
+func TestUnknownBackendRefused(t *testing.T) {
+	opt := randperm.Options{Backend: randperm.Backend(9)}
+	const want = "randperm: unknown backend Backend(9)"
+	if _, _, err := randperm.ParallelShuffle(iotaInt64(10), opt); err == nil || err.Error() != want {
+		t.Errorf("ParallelShuffle: err = %v, want %q", err, want)
+	}
+	blocks := [][]int64{iotaInt64(5), iotaInt64(5)}
+	if _, _, err := randperm.ParallelShuffleBlocks(blocks, []int64{5, 5}, opt); err == nil || err.Error() != want {
+		t.Errorf("ParallelShuffleBlocks: err = %v, want %q", err, want)
+	}
+	if _, err := randperm.NewPermuter(10, opt); err == nil || err.Error() != want {
+		t.Errorf("NewPermuter: err = %v, want %q", err, want)
 	}
 }
 

@@ -29,7 +29,7 @@ func CommMatrixParallel(rowSizes, colSizes []int64, opt Options) ([][]int64, Rep
 	for i := range out {
 		out[i] = append([]int64(nil), m.Row(i)...)
 	}
-	return out, reportFrom(mach), nil
+	return out, reportOf(mach, p), nil
 }
 
 // ExternalShuffleStats reports the I/O cost of an ExternalShuffle run in

@@ -284,6 +284,21 @@ func TestPeerEndpointGuards(t *testing.T) {
 			t.Errorf("%s on a MaxN=1000 node: status %d, want 400", url, code)
 		}
 	}
+	// A negative n, start or len is refused with a message naming the
+	// value.
+	for url, want := range map[string]string{
+		"/v1/cluster/chunk?n=-5&seed=1&start=0&len=1":       "cluster: bad n=-5: want a non-negative decimal integer\n",
+		"/v1/cluster/exchange?n=-5&seed=1&p=8&nodes=2&to=1": "cluster: bad n=-5: want a non-negative decimal integer\n",
+		"/v1/cluster/chunk?n=1000&seed=1&start=-1&len=1":    "cluster: bad start=-1: want a non-negative decimal integer\n",
+		"/v1/cluster/chunk?n=1000&seed=1&start=0&len=-1":    "cluster: bad len=-1: want a non-negative decimal integer\n",
+		"/v1/cluster/chunk?n=x&seed=1&start=0&len=1":        "cluster: bad n=\"x\": want a decimal integer\n",
+	} {
+		w := httptest.NewRecorder()
+		bounded.Handler().ServeHTTP(w, httptest.NewRequest("GET", url, nil))
+		if w.Code != http.StatusBadRequest || w.Body.String() != want {
+			t.Errorf("%s: %d %q, want 400 %q", url, w.Code, w.Body.String(), want)
+		}
+	}
 	// Overflowing len must be a 416, not a slice panic.
 	resp, err := http.Get(fmt.Sprintf(
 		"%s/v1/cluster/chunk?n=1000&seed=1&start=1&len=9223372036854775807", base))

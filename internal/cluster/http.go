@@ -175,13 +175,22 @@ func queryInt64(r *http.Request, name string) (int64, error) {
 	return x, nil
 }
 
+// queryCount parses a required non-negative decimal query parameter.
+func queryCount(r *http.Request, name string) (int64, error) {
+	x, err := queryInt64(r, name)
+	if err == nil && x < 0 {
+		return 0, fmt.Errorf("bad %s=%d: want a non-negative decimal integer", name, x)
+	}
+	return x, err
+}
+
 // queryN parses and gates the domain size of a peer request: the
 // peer-facing endpoints must not accept work the public API would
 // refuse (Config.MaxN).
 func (nd *Node) queryN(r *http.Request) (int64, error) {
-	n, err := queryInt64(r, "n")
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad n: %v", err)
+	n, err := queryCount(r, "n")
+	if err != nil {
+		return 0, err
 	}
 	if nd.cfg.MaxN > 0 && n > nd.cfg.MaxN {
 		return 0, fmt.Errorf("n=%d exceeds this node's bound %d", n, nd.cfg.MaxN)
@@ -446,14 +455,14 @@ func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("cluster: bad seed %q", r.URL.Query().Get("seed")), http.StatusBadRequest)
 		return
 	}
-	start, err := queryInt64(r, "start")
-	if err != nil || start < 0 {
-		http.Error(w, fmt.Sprintf("cluster: bad start: %v", err), http.StatusBadRequest)
+	start, err := queryCount(r, "start")
+	if err != nil {
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
-	length, err := queryInt64(r, "len")
-	if err != nil || length < 0 {
-		http.Error(w, fmt.Sprintf("cluster: bad len: %v", err), http.StatusBadRequest)
+	length, err := queryCount(r, "len")
+	if err != nil {
+		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
 		return
 	}
 	// Find the replicated slot containing the range. length is compared

@@ -28,19 +28,6 @@ func Coarsen(m *Matrix, rowCuts, colCuts []int) *Matrix {
 	return out
 }
 
-// CoarsenVec merges a margin vector with the same cut convention, so the
-// coarsened matrix margins can be computed without re-summing.
-func CoarsenVec(v []int64, cuts []int) []int64 {
-	groups := groupsFromCuts(len(v), cuts)
-	out := make([]int64, len(groups))
-	for g, r := range groups {
-		for i := r[0]; i < r[1]; i++ {
-			out[g] += v[i]
-		}
-	}
-	return out
-}
-
 // groupsFromCuts converts interior cuts into [start, end) ranges covering
 // [0, n). It panics on out-of-range or non-increasing cuts.
 func groupsFromCuts(n int, cuts []int) [][2]int {

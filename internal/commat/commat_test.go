@@ -40,10 +40,11 @@ func TestMatrixSums(t *testing.T) {
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 3)
 	m.Set(1, 1, 4)
-	rows := m.RowSums()
-	cols := m.ColSums()
-	if rows[0] != 3 || rows[1] != 7 || cols[0] != 4 || cols[1] != 6 {
-		t.Fatalf("sums wrong: %v %v", rows, cols)
+	if cols := m.ColSums(); cols[0] != 4 || cols[1] != 6 {
+		t.Fatalf("column sums wrong: %v", cols)
+	}
+	if err := m.CheckMargins([]int64{3, 7}, []int64{4, 6}); err != nil {
+		t.Fatalf("sums wrong: %v", err)
 	}
 	if m.Total() != 10 {
 		t.Fatalf("total = %d", m.Total())
@@ -267,25 +268,11 @@ func TestCoarsenMargins(t *testing.T) {
 	colM := []int64{6, 6, 6}
 	m := SampleSeq(src, rowM, colM)
 	cm := Coarsen(m, []int{1, 3}, []int{2})
-	wantRows := CoarsenVec(rowM, []int{1, 3})
-	wantCols := CoarsenVec(colM, []int{2})
-	if err := cm.CheckMargins(wantRows, wantCols); err != nil {
+	if err := cm.CheckMargins([]int64{3, 9, 6}, []int64{12, 6}); err != nil {
 		t.Fatalf("coarsened margins: %v", err)
 	}
 	if cm.Total() != m.Total() {
 		t.Fatal("coarsening changed the total")
-	}
-}
-
-func TestCoarsenVec(t *testing.T) {
-	v := []int64{1, 2, 3, 4}
-	got := CoarsenVec(v, []int{2})
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("CoarsenVec = %v", got)
-	}
-	whole := CoarsenVec(v, nil)
-	if len(whole) != 1 || whole[0] != 10 {
-		t.Fatalf("CoarsenVec no cuts = %v", whole)
 	}
 }
 

@@ -68,19 +68,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// RowSums returns the vector of row sums (equation 2's m_i).
-func (m *Matrix) RowSums() []int64 {
-	sums := make([]int64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s int64
-		for _, v := range m.Row(i) {
-			s += v
-		}
-		sums[i] = s
-	}
-	return sums
-}
-
 // ColSums returns the vector of column sums (equation 3's m'_j).
 func (m *Matrix) ColSums() []int64 {
 	sums := make([]int64, m.cols)

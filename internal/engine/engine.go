@@ -1,7 +1,8 @@
 // Package engine defines the execution-backend abstraction behind the
 // parallel API: the four phases of the paper's Algorithm 1 (local
 // shuffle, communication-matrix sample, data exchange, local shuffle)
-// can run on any of three interchangeable backends.
+// can run on any of several interchangeable backends. The backends are
+// named in one place, the backend table of package randperm.
 //
 //   - Sim is the simulated PRO machine of internal/pro: one goroutine
 //     per processor, message passing through mailboxes, and full
@@ -51,8 +52,6 @@
 // Bijective trades exactness over S_n for O(1)-state random access.
 package engine
 
-import "fmt"
-
 // Worker is the per-processor view of an Engine inside an SPMD body: the
 // method set Algorithm 1 and the matrix sampling algorithms need. It is
 // the interface extracted from *pro.Proc, which remains the canonical
@@ -94,61 +93,4 @@ type Engine interface {
 	// until all return. A panic in any worker is captured and returned
 	// as an error annotated with the worker's rank.
 	Run(body func(Worker)) error
-}
-
-// Backend names an execution backend for flags and dispatch.
-type Backend int
-
-const (
-	// Sim is the simulated PRO machine with full cost accounting.
-	Sim Backend = iota
-	// SharedMem is the zero-mailbox shared-memory scatter engine.
-	SharedMem
-	// InPlace is the MergeShuffle-style divide-and-conquer in-place
-	// engine (inplace.go): no label arrays, no second buffer.
-	InPlace
-	// Bijective is the keyed-Feistel computed-permutation engine
-	// (bijective.go): O(1) state per index, streamable, not exactly
-	// uniform over S_n.
-	Bijective
-	// Cluster is the blocked CGM decomposition (cgm.go): the exact
-	// fixed-margin scatter over an even block layout, the one
-	// permutation law that internal/cluster can also compute across
-	// machines byte for byte.
-	Cluster
-)
-
-// String names the backend for tables and flags.
-func (b Backend) String() string {
-	switch b {
-	case Sim:
-		return "sim"
-	case SharedMem:
-		return "shmem"
-	case InPlace:
-		return "inplace"
-	case Bijective:
-		return "bijective"
-	case Cluster:
-		return "cluster"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// ParseBackend converts a flag value into a Backend.
-func ParseBackend(s string) (Backend, bool) {
-	switch s {
-	case "sim":
-		return Sim, true
-	case "shmem", "sharedmem", "shared-mem":
-		return SharedMem, true
-	case "inplace", "in-place", "mergeshuffle":
-		return InPlace, true
-	case "bijective", "feistel":
-		return Bijective, true
-	case "cluster", "cgm":
-		return Cluster, true
-	}
-	return 0, false
 }

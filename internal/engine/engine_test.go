@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"randperm/internal/commat"
@@ -25,23 +24,6 @@ func split(data []int64, sizes []int64) [][]int64 {
 		off += s
 	}
 	return blocks
-}
-
-func TestBackendString(t *testing.T) {
-	if Sim.String() != "sim" || SharedMem.String() != "shmem" || InPlace.String() != "inplace" {
-		t.Fatalf("bad names: %v %v %v", Sim, SharedMem, InPlace)
-	}
-	if !strings.Contains(Backend(9).String(), "9") {
-		t.Fatalf("bad unknown name: %v", Backend(9))
-	}
-	for _, s := range []string{"sim", "shmem", "sharedmem", "inplace", "mergeshuffle"} {
-		if _, ok := ParseBackend(s); !ok {
-			t.Errorf("ParseBackend(%q) failed", s)
-		}
-	}
-	if _, ok := ParseBackend("gpu"); ok {
-		t.Error("ParseBackend accepted garbage")
-	}
 }
 
 func TestScatterStarts(t *testing.T) {

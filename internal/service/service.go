@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -379,45 +380,159 @@ func (s *Server) httpError(w http.ResponseWriter, code int, format string, args 
 	http.Error(w, "permd: "+fmt.Sprintf(format, args...), code)
 }
 
-// queryInt64 parses query parameter name, or returns (def, true) when absent.
-func queryInt64(r *http.Request, name string, def int64) (int64, error) {
-	v := r.URL.Query().Get(name)
+// The request parser: every handler reads its parameters through these
+// helpers, each of which answers a malformed value with the 400 itself
+// and reports false.
+
+// parseSeed parses a decimal uint64 seed; "" is seed 0 (the /v1/perm
+// path segment is never empty).
+func (s *Server) parseSeed(w http.ResponseWriter, v string) (uint64, bool) {
 	if v == "" {
-		return def, nil
+		return 0, true
 	}
-	n, err := strconv.ParseInt(v, 10, 64)
+	seed, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q: want a decimal integer", name, v)
+		s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", v)
+		return 0, false
 	}
-	return n, nil
+	return seed, true
+}
+
+// queryInt parses the decimal query parameter name, or returns def when
+// it is absent.
+func (s *Server) queryInt(w http.ResponseWriter, q url.Values, name string, def int64) (int64, bool) {
+	v := q.Get(name)
+	if v == "" {
+		return def, true
+	}
+	x, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "bad %s=%q: want a decimal integer", name, v)
+		return 0, false
+	}
+	return x, true
+}
+
+// queryN parses the required size n, which must be at least lo (0 or
+// 1); noun names the domain in the error ("the dataset size n").
+func (s *Server) queryN(w http.ResponseWriter, q url.Values, lo int64, noun string) (int64, bool) {
+	n, ok := s.queryInt(w, q, "n", -1)
+	if ok && n < lo {
+		sign := "negative"
+		if lo > 0 {
+			sign = "non-positive"
+		}
+		s.httpError(w, http.StatusBadRequest, "missing or %s n: the %s size n is required", sign, noun)
+		return 0, false
+	}
+	return n, ok
+}
+
+// queryRange parses start (default 0) and len against n. len defaults
+// to min(MaxChunk, n-start) and is clipped to n-start; it may exceed
+// MaxChunk, in which case the response streams page by page.
+func (s *Server) queryRange(w http.ResponseWriter, q url.Values, n int64) (start, length int64, ok bool) {
+	if start, ok = s.queryInt(w, q, "start", 0); !ok {
+		return 0, 0, false
+	}
+	if start < 0 || start > n {
+		s.httpError(w, http.StatusBadRequest, "start=%d outside [0, %d]", start, n)
+		return 0, 0, false
+	}
+	length = min(n-start, int64(s.cfg.MaxChunk))
+	if lv := q.Get("len"); lv != "" {
+		v, err := strconv.ParseInt(lv, 10, 64)
+		if err != nil || v < 0 {
+			s.httpError(w, http.StatusBadRequest, "bad len=%q: want a non-negative decimal integer", lv)
+			return 0, 0, false
+		}
+		length = min(v, n-start)
+	}
+	return start, length, true
+}
+
+// queryBackend parses the optional ?backend= (def when absent).
+func (s *Server) queryBackend(w http.ResponseWriter, q url.Values, def randperm.Backend) (randperm.Backend, bool) {
+	bs := q.Get("backend")
+	if bs == "" {
+		return def, true
+	}
+	b, err := randperm.ParseBackend(bs)
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
+		return 0, false
+	}
+	return b, true
+}
+
+// lookup resolves key to its cached handle, records the permutation and
+// the cache outcome on the request event, and names the backend in the
+// Permd-Backend header.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, key handleKey) (*handleEntry, bool) {
+	e, hit, err := s.cache.get(key)
+	if err != nil {
+		s.httpError(w, http.StatusInternalServerError, "building permutation: %v", err)
+		return nil, false
+	}
+	if ri := reqInfoOf(r); ri != nil {
+		ri.n, ri.seed, ri.backend = key.n, key.seed, key.backend.String()
+		ri.cache = "miss"
+		if hit {
+			ri.cache = "hit"
+		}
+	}
+	w.Header().Set("Permd-Backend", key.backend.String())
+	return e, true
+}
+
+// countServed adds items to the served-items counter and the request
+// event. Handlers call it only once the response is fully written.
+func (s *Server) countServed(r *http.Request, items int64) {
+	s.met.items.Add(items)
+	if ri := reqInfoOf(r); ri != nil {
+		ri.items = items
+	}
+}
+
+// textBody starts a text/plain response buffered through 32 KiB.
+func textBody(w http.ResponseWriter) *bufio.Writer {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	return bufio.NewWriterSize(w, 1<<15)
+}
+
+// writeDecimals writes vs to bw one decimal per line. Each value is
+// formatted straight into bw's free space, so nothing is allocated per
+// value; bw is flushed only when less than one line's worth (21 bytes:
+// a sign, 19 digits and the newline) is free.
+func writeDecimals(bw *bufio.Writer, vs []int64) error {
+	for _, v := range vs {
+		if bw.Available() < 21 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		line := strconv.AppendInt(bw.AvailableBuffer(), v, 10)
+		if _, err := bw.Write(append(line, '\n')); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // permuterFor resolves the {seed} path value and the n/backend query of
 // a /v1/perm/* request into a cached handle entry. It applies the MaxN
 // gate to materializing backends and answers the error itself when it
 // returns ok == false.
-func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request) (e *handleEntry, n int64, backend randperm.Backend, ok bool) {
-	seed, err := strconv.ParseUint(r.PathValue("seed"), 10, 64)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", r.PathValue("seed"))
+func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request, q url.Values) (e *handleEntry, n int64, backend randperm.Backend, ok bool) {
+	seed, ok := s.parseSeed(w, r.PathValue("seed"))
+	if !ok {
 		return nil, 0, 0, false
 	}
-	n, err = queryInt64(r, "n", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	if n, ok = s.queryN(w, q, 0, "domain"); !ok {
 		return nil, 0, 0, false
 	}
-	if n < 0 {
-		s.httpError(w, http.StatusBadRequest, "missing or negative n: the domain size n is required")
+	if backend, ok = s.queryBackend(w, q, s.defBackend); !ok {
 		return nil, 0, 0, false
-	}
-	backend = s.defBackend
-	if bs := r.URL.Query().Get("backend"); bs != "" {
-		backend, err = randperm.ParseBackend(bs)
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, "%v", err)
-			return nil, 0, 0, false
-		}
 	}
 	if backend != randperm.BackendBijective && n > s.cfg.MaxN {
 		s.httpError(w, http.StatusBadRequest,
@@ -425,20 +540,8 @@ func (s *Server) permuterFor(w http.ResponseWriter, r *http.Request) (e *handleE
 			n, s.cfg.MaxN, backend)
 		return nil, 0, 0, false
 	}
-	e, hit, err := s.cache.get(handleKey{n: n, seed: seed, backend: backend})
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, "building permutation: %v", err)
-		return nil, 0, 0, false
-	}
-	if ri := reqInfoOf(r); ri != nil {
-		ri.n, ri.seed, ri.backend = n, seed, backend.String()
-		ri.cache = "miss"
-		if hit {
-			ri.cache = "hit"
-		}
-	}
-	w.Header().Set("Permd-Backend", backend.String())
-	return e, n, backend, true
+	e, ok = s.lookup(w, r, handleKey{n: n, seed: seed, backend: backend})
+	return e, n, backend, ok
 }
 
 // admitItems charges cost items to the requesting client's quota bucket,
@@ -500,39 +603,18 @@ func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, e *handleEnt
 // case the response streams through the pooled buffer page by page.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epChunk].Add(1)
-	e, n, backend, ok := s.permuterFor(w, r)
+	q := r.URL.Query()
+	e, n, backend, ok := s.permuterFor(w, r, q)
 	if !ok {
 		return
 	}
-	pm := e.pm
-	start, err := queryInt64(r, "start", 0)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if start < 0 || start > n {
-		s.httpError(w, http.StatusBadRequest, "start=%d outside [0, %d]", start, n)
-		return
-	}
-	length := min(n-start, int64(s.cfg.MaxChunk))
-	if lv := r.URL.Query().Get("len"); lv != "" {
-		length, err = strconv.ParseInt(lv, 10, 64)
-		if err != nil || length < 0 {
-			s.httpError(w, http.StatusBadRequest, "bad len=%q: want a non-negative decimal integer", lv)
-			return
-		}
-		if rest := n - start; length > rest {
-			length = rest
-		}
-	}
-	if !s.admitItems(w, r, max(length, 1)) {
-		return
-	}
-	if !s.admitBuild(w, r, e) {
+	start, length, ok := s.queryRange(w, q, n)
+	if !ok || !s.admitItems(w, r, max(length, 1)) || !s.admitBuild(w, r, e) {
 		return
 	}
 
 	began := time.Now()
+	served := length
 	if backend == randperm.BackendCluster && s.node != nil {
 		// Atomic path: a cluster read can fail at any peer at any span
 		// boundary, and the failure-semantics contract (OPERATIONS.md)
@@ -540,41 +622,20 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		// in memory before the first byte goes out. Bounded: cluster
 		// requests passed the MaxN gate, so length ≤ MaxN words.
 		out := make([]int64, length)
-		if _, err := pm.Chunk(out, start); err != nil {
+		if _, err := e.pm.Chunk(out, start); err != nil {
 			s.httpError(w, http.StatusInternalServerError, "reading chunk: %v", err)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		bw := bufio.NewWriterSize(w, 1<<15)
-		var line []byte
-		for _, v := range out {
-			line = strconv.AppendInt(line[:0], v, 10)
-			line = append(line, '\n')
-			if _, err := bw.Write(line); err != nil {
-				return // client went away
-			}
+		bw := textBody(w)
+		if writeDecimals(bw, out) != nil || bw.Flush() != nil {
+			return // client went away
 		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		s.met.items.Add(length)
-		s.met.chunkItems.Add(length)
-		s.met.chunkNs.Add(time.Since(began).Nanoseconds())
-		if ri := reqInfoOf(r); ri != nil {
-			ri.items = length
-		}
+	} else if served, ok = s.streamPaged(w, r, e.pm, start, length); !ok {
 		return
 	}
-	served, ok := s.streamPaged(w, r, pm, start, length)
-	if !ok {
-		return
-	}
-	s.met.items.Add(served)
 	s.met.chunkItems.Add(served)
 	s.met.chunkNs.Add(time.Since(began).Nanoseconds())
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = served
-	}
+	s.countServed(r, served)
 }
 
 // handleAt serves GET /v1/perm/{seed}/at?n=&i=&backend= — the single
@@ -600,23 +661,20 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 // layer can paper over.
 func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epAt].Add(1)
-	e, n, _, ok := s.permuterFor(w, r)
+	q := r.URL.Query()
+	e, n, _, ok := s.permuterFor(w, r, q)
 	if !ok {
 		return
 	}
-	i, err := queryInt64(r, "i", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	i, ok := s.queryInt(w, q, "i", -1)
+	if !ok {
 		return
 	}
 	if i < 0 || i >= n {
 		s.httpError(w, http.StatusBadRequest, "i=%d outside [0, %d)", i, n)
 		return
 	}
-	if !s.admitItems(w, r, 1) {
-		return
-	}
-	if !s.admitBuild(w, r, e) {
+	if !s.admitItems(w, r, 1) || !s.admitBuild(w, r, e) {
 		return
 	}
 	// Read through Chunk rather than At: same bytes, but an
@@ -629,10 +687,7 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "%d\n", one[0])
-	s.met.items.Add(1)
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = 1
-	}
+	s.countServed(r, 1)
 }
 
 // handleShuffle serves POST /v1/shuffle?seed=&backend=: the request body
@@ -644,18 +699,13 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epShuffle].Add(1)
 	q := r.URL.Query()
-	seed, err := strconv.ParseUint(q.Get("seed"), 10, 64)
-	if q.Get("seed") != "" && err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", q.Get("seed"))
+	seed, ok := s.parseSeed(w, q.Get("seed"))
+	if !ok {
 		return
 	}
-	backend := randperm.BackendSharedMem
-	if bs := q.Get("backend"); bs != "" {
-		backend, err = randperm.ParseBackend(bs)
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+	backend, ok := s.queryBackend(w, q, randperm.BackendSharedMem)
+	if !ok {
+		return
 	}
 	if !backend.ExactUniform() {
 		s.httpError(w, http.StatusBadRequest,
@@ -715,10 +765,7 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 		if err := json.NewEncoder(w).Encode(out); err != nil {
 			return
 		}
-		s.met.items.Add(int64(len(out)))
-		if ri := reqInfoOf(r); ri != nil {
-			ri.items = int64(len(out))
-		}
+		s.countServed(r, int64(len(out)))
 		return
 	}
 	out, _, err := randperm.ParallelShuffle(items, opt)
@@ -726,17 +773,15 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusInternalServerError, "shuffling: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	bw := bufio.NewWriterSize(w, 1<<15)
+	bw := textBody(w)
 	for _, l := range out {
-		bw.WriteString(l)
+		bw.WriteString(l) // errors are sticky: Flush reports them
 		bw.WriteByte('\n')
 	}
-	bw.Flush()
-	s.met.items.Add(int64(len(out)))
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = int64(len(out))
+	if bw.Flush() != nil {
+		return // client went away
 	}
+	s.countServed(r, int64(len(out)))
 }
 
 // handleSample serves GET /v1/sample?n=&k=&seed= — a uniformly random
@@ -745,36 +790,25 @@ func (s *Server) handleShuffle(w http.ResponseWriter, r *http.Request) {
 // uniform; there is no backend parameter to gate).
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epSample].Add(1)
-	n, err := queryInt64(r, "n", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if n < 0 {
-		s.httpError(w, http.StatusBadRequest, "missing or negative n: the domain size n is required")
+	q := r.URL.Query()
+	n, ok := s.queryN(w, q, 0, "domain")
+	if !ok {
 		return
 	}
 	if n > s.cfg.MaxN {
 		s.httpError(w, http.StatusBadRequest, "n=%d exceeds this server's bound %d", n, s.cfg.MaxN)
 		return
 	}
-	k, err := queryInt64(r, "k", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	k, ok := s.queryInt(w, q, "k", -1)
+	if !ok {
 		return
 	}
 	if k < 0 || k > n {
 		s.httpError(w, http.StatusBadRequest, "k=%d outside [0, n=%d]", k, n)
 		return
 	}
-	var seed uint64
-	if sv := r.URL.Query().Get("seed"); sv != "" {
-		if seed, err = strconv.ParseUint(sv, 10, 64); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", sv)
-			return
-		}
-	}
-	if !s.admitItems(w, r, max(k, 1)) {
+	seed, ok := s.parseSeed(w, q.Get("seed"))
+	if !ok || !s.admitItems(w, r, max(k, 1)) {
 		return
 	}
 	data := make([]int64, n)
@@ -786,19 +820,11 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusInternalServerError, "sampling: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	bw := bufio.NewWriterSize(w, 1<<15)
-	var line []byte
-	for _, v := range sample {
-		line = strconv.AppendInt(line[:0], v, 10)
-		line = append(line, '\n')
-		bw.Write(line)
+	bw := textBody(w)
+	if writeDecimals(bw, sample) != nil || bw.Flush() != nil {
+		return // client went away
 	}
-	bw.Flush()
-	s.met.items.Add(int64(len(sample)))
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = int64(len(sample))
-	}
+	s.countServed(r, int64(len(sample)))
 }
 
 // handleHealthz serves a JSON liveness probe that doubles as a config
@@ -807,6 +833,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epHealthz].Add(1)
 	w.Header().Set("Content-Type", "application/json")
+	var backends []string
+	for b := randperm.BackendSim; b <= randperm.BackendCluster; b++ {
+		backends = append(backends, b.String())
+	}
 	body := map[string]any{
 		"status":          "ok",
 		"procs":           s.cfg.Procs,
@@ -815,7 +845,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"max_n":           s.cfg.MaxN,
 		"max_chunk":       s.cfg.MaxChunk,
 		"default_backend": s.defBackend.String(),
-		"backends":        []string{"sim", "shmem", "inplace", "bijective", "cluster"},
+		"backends":        backends,
 		"max_builds":      s.cfg.MaxBuilds,
 		"max_epoch":       s.cfg.MaxEpoch,
 		"quota":           s.quota != nil,

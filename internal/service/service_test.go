@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"randperm"
+	"randperm/internal/events"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -297,6 +298,9 @@ func TestHealthz(t *testing.T) {
 	if h["status"] != "ok" || h["procs"] != float64(4) || h["default_backend"] != "bijective" {
 		t.Errorf("healthz fields wrong: %v", h)
 	}
+	if got := fmt.Sprint(h["backends"]); got != "[sim shmem inplace bijective cluster]" {
+		t.Errorf("healthz backends = %s, want every canonical name in table order", got)
+	}
 }
 
 // TestMetrics drives a known request mix and checks the counters that
@@ -455,4 +459,49 @@ func BenchmarkServeChunk(b *testing.B) {
 	perReq := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(perReq/chunkLen, "ns/item")
 	b.ReportMetric(1e9/perReq, "req/s")
+}
+
+// brokenWriter is a ResponseWriter whose client is gone: every body
+// write fails.
+type brokenWriter struct{ h http.Header }
+
+func (b *brokenWriter) Header() http.Header       { return b.h }
+func (b *brokenWriter) WriteHeader(int)           {}
+func (b *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestUnsentItemsNotCounted: /v1/sample and /v1/shuffle stop at the
+// first failed write and add nothing to permd_items_total or to the
+// request event, exactly like the paged chunk stream.
+func TestUnsentItemsNotCounted(t *testing.T) {
+	for _, c := range []struct {
+		name, method, url, ctype, body string
+	}{
+		{"sample", "GET", "/v1/sample?n=50&k=5&seed=9", "", ""},
+		{"shuffle text", "POST", "/v1/shuffle?seed=1", "text/plain", "a\nb\nc\n"},
+		{"shuffle json", "POST", "/v1/shuffle?seed=1", "application/json", `["a","b","c"]`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := s.EventBus().Subscribe(events.TypeSet(0).With(events.TypeRequest), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			req := httptest.NewRequest(c.method, c.url, strings.NewReader(c.body))
+			if c.ctype != "" {
+				req.Header.Set("Content-Type", c.ctype)
+			}
+			s.ServeHTTP(&brokenWriter{h: http.Header{}}, req)
+			if got := s.met.items.Load(); got != 0 {
+				t.Errorf("permd_items_total = %d after a failed write, want 0", got)
+			}
+			ev := <-sub.Events()
+			if ev.Items != 0 {
+				t.Errorf("request event items = %d after a failed write, want 0", ev.Items)
+			}
+		})
+	}
 }

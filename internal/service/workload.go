@@ -1,8 +1,8 @@
 package service
 
 import (
-	"bufio"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -56,22 +56,14 @@ func (s *Server) epocher(seed uint64, mode workload.EpochMode) *workload.Epocher
 // assignment a point lookup and an epoch a pure function of its key),
 // so a ?backend= naming any other engine is refused rather than
 // silently served from a different law. Reports whether to proceed.
-func (s *Server) requireBijective(w http.ResponseWriter, r *http.Request, endpoint string) bool {
-	bs := r.URL.Query().Get("backend")
-	if bs == "" {
-		return true
-	}
-	backend, err := randperm.ParseBackend(bs)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return false
-	}
-	if backend != randperm.BackendBijective {
+func (s *Server) requireBijective(w http.ResponseWriter, q url.Values, endpoint string) bool {
+	backend, ok := s.queryBackend(w, q, randperm.BackendBijective)
+	if ok && backend != randperm.BackendBijective {
 		s.httpError(w, http.StatusBadRequest,
 			"%s requires the bijective backend (got %s): it is defined on the keyed bijection's O(1) Index", endpoint, backend)
 		return false
 	}
-	return true
+	return ok
 }
 
 // handleAssign serves GET /v1/assign?seed=&n=&id=&spec= — the
@@ -87,21 +79,12 @@ func (s *Server) requireBijective(w http.ResponseWriter, r *http.Request, endpoi
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epAssign].Add(1)
 	q := r.URL.Query()
-	var seed uint64
-	var err error
-	if sv := q.Get("seed"); sv != "" {
-		if seed, err = strconv.ParseUint(sv, 10, 64); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", sv)
-			return
-		}
-	}
-	n, err := queryInt64(r, "n", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	seed, ok := s.parseSeed(w, q.Get("seed"))
+	if !ok {
 		return
 	}
-	if n <= 0 {
-		s.httpError(w, http.StatusBadRequest, "missing or non-positive n: the id-domain size n is required")
+	n, ok := s.queryN(w, q, 1, "id-domain")
+	if !ok {
 		return
 	}
 	spec, err := workload.ParseAssignSpec(q.Get("spec"))
@@ -109,12 +92,11 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	if !s.requireBijective(w, r, "/v1/assign") {
+	if !s.requireBijective(w, q, "/v1/assign") {
 		return
 	}
-	id, err := queryInt64(r, "id", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	id, ok := s.queryInt(w, q, "id", -1)
+	if !ok {
 		return
 	}
 	if id < 0 || id >= n {
@@ -124,9 +106,8 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if !s.admitItems(w, r, 1) {
 		return
 	}
-	e, hit, err := s.cache.get(handleKey{n: n, seed: seed, backend: randperm.BackendBijective})
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, "building permutation: %v", err)
+	e, ok := s.lookup(w, r, handleKey{n: n, seed: seed, backend: randperm.BackendBijective})
+	if !ok {
 		return
 	}
 	var one [1]int64
@@ -135,19 +116,11 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	idx, name := spec.Find(n, one[0])
-	w.Header().Set("Permd-Backend", randperm.BackendBijective.String())
 	w.Header().Set("Permd-Bucket", strconv.Itoa(idx))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write([]byte(name + "\n"))
 	s.met.assignLookups.Add(1)
-	s.met.items.Add(1)
-	if ri := reqInfoOf(r); ri != nil {
-		ri.n, ri.seed, ri.backend, ri.items = n, seed, randperm.BackendBijective.String(), 1
-		ri.cache = "miss"
-		if hit {
-			ri.cache = "hit"
-		}
-	}
+	s.countServed(r, 1)
 }
 
 // handleEpochs serves GET /v1/epochs?seed=&n=&epoch=&mode=&start=&len= —
@@ -162,26 +135,16 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	s.met.requests[epEpochs].Add(1)
 	q := r.URL.Query()
-	var seed uint64
-	var err error
-	if sv := q.Get("seed"); sv != "" {
-		if seed, err = strconv.ParseUint(sv, 10, 64); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad seed %q: want a decimal uint64", sv)
-			return
-		}
-	}
-	n, err := queryInt64(r, "n", -1)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	seed, ok := s.parseSeed(w, q.Get("seed"))
+	if !ok {
 		return
 	}
-	if n < 0 {
-		s.httpError(w, http.StatusBadRequest, "missing or negative n: the dataset size n is required")
+	n, ok := s.queryN(w, q, 0, "dataset")
+	if !ok {
 		return
 	}
-	epoch, err := queryInt64(r, "epoch", 0)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	epoch, ok := s.queryInt(w, q, "epoch", 0)
+	if !ok {
 		return
 	}
 	if epoch < 0 || epoch > s.cfg.MaxEpoch {
@@ -193,49 +156,21 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.requireBijective(w, r, "/v1/epochs") {
+	if !s.requireBijective(w, q, "/v1/epochs") {
 		return
 	}
-	start, err := queryInt64(r, "start", 0)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if start < 0 || start > n {
-		s.httpError(w, http.StatusBadRequest, "start=%d outside [0, %d]", start, n)
-		return
-	}
-	length := min(n-start, int64(s.cfg.MaxChunk))
-	if lv := q.Get("len"); lv != "" {
-		length, err = strconv.ParseInt(lv, 10, 64)
-		if err != nil || length < 0 {
-			s.httpError(w, http.StatusBadRequest, "bad len=%q: want a non-negative decimal integer", lv)
-			return
-		}
-		if rest := n - start; length > rest {
-			length = rest
-		}
-	}
-	if !s.admitItems(w, r, max(length, 1)) {
+	start, length, ok := s.queryRange(w, q, n)
+	if !ok || !s.admitItems(w, r, max(length, 1)) {
 		return
 	}
 	key := s.epocher(seed, mode).Key(epoch)
-	e, hit, err := s.cache.get(handleKey{n: n, seed: key, backend: randperm.BackendBijective})
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, "building permutation: %v", err)
+	e, ok := s.lookup(w, r, handleKey{n: n, seed: key, backend: randperm.BackendBijective})
+	if !ok {
 		return
-	}
-	if ri := reqInfoOf(r); ri != nil {
-		ri.n, ri.seed, ri.backend = n, key, randperm.BackendBijective.String()
-		ri.cache = "miss"
-		if hit {
-			ri.cache = "hit"
-		}
 	}
 	if mode == workload.EpochRecycled {
 		s.met.epochRecycled.Add(1)
 	}
-	w.Header().Set("Permd-Backend", randperm.BackendBijective.String())
 	w.Header().Set("Permd-Epoch-Key", strconv.FormatUint(key, 10))
 	w.Header().Set("Permd-Epoch-Mode", mode.String())
 
@@ -244,12 +179,9 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.met.items.Add(served)
 	s.met.epochItems.Add(served)
 	s.met.epochNs.Add(time.Since(began).Nanoseconds())
-	if ri := reqInfoOf(r); ri != nil {
-		ri.items = served
-	}
+	s.countServed(r, served)
 }
 
 // streamPaged writes π(start) .. π(start+length-1) one decimal per
@@ -259,12 +191,10 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 // truncation after) are handled here. Shared by the chunk and epochs
 // endpoints — callers own their endpoint-specific metrics.
 func (s *Server) streamPaged(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64) (int64, bool) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	bufp := s.bufs.Get().(*[]int64)
 	defer s.bufs.Put(bufp)
 	buf := *bufp
-	bw := bufio.NewWriterSize(w, 1<<15)
-	var line []byte
+	bw := textBody(w)
 	served := int64(0)
 	for served < length {
 		if served > 0 && r.Context().Err() != nil {
@@ -290,12 +220,8 @@ func (s *Server) streamPaged(w http.ResponseWriter, r *http.Request, pm *randper
 			s.met.errors.Add(1)
 			return served, false
 		}
-		for _, v := range page[:m] {
-			line = strconv.AppendInt(line[:0], v, 10)
-			line = append(line, '\n')
-			if _, err := bw.Write(line); err != nil {
-				return served, false // client went away
-			}
+		if err := writeDecimals(bw, page[:m]); err != nil {
+			return served, false // client went away
 		}
 		served += int64(m)
 	}

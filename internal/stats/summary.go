@@ -1,57 +1,5 @@
 package stats
 
-import "math"
-
-// Summary holds basic descriptive statistics of a float64 sample.
-type Summary struct {
-	N    int
-	Mean float64
-	Std  float64
-	Min  float64
-	Max  float64
-}
-
-// Summarize computes a Summary; the zero Summary is returned for empty
-// input.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return s
-}
-
-// MeanInt64 returns the mean of an int64 sample (0 for empty input).
-func MeanInt64(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
 // MaxInt64 returns the maximum of an int64 sample (0 for empty input).
 func MaxInt64(xs []int64) int64 {
 	var m int64

@@ -3,6 +3,8 @@ package randperm
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 
 	"randperm/internal/core"
 	"randperm/internal/engine"
@@ -64,9 +66,29 @@ const (
 	BackendCluster
 )
 
+// backendNames is the one place a backend is named. Row b holds the
+// canonical name of Backend b first, then the other spellings
+// ParseBackend accepts; String, ParseBackend and the permd /healthz
+// backend list all read it.
+var backendNames = [...][]string{
+	BackendSim:       {"sim"},
+	BackendSharedMem: {"shmem", "sharedmem", "shared-mem"},
+	BackendInPlace:   {"inplace", "in-place", "mergeshuffle"},
+	BackendBijective: {"bijective", "feistel"},
+	BackendCluster:   {"cluster", "cgm"},
+}
+
 // String names the backend ("sim", "shmem", "inplace", "bijective" or
-// "cluster").
-func (b Backend) String() string { return b.internal().String() }
+// "cluster"; "Backend(9)" for a value outside the enumeration).
+func (b Backend) String() string {
+	if !b.known() {
+		return fmt.Sprintf("Backend(%d)", int(b))
+	}
+	return backendNames[b][0]
+}
+
+// known reports whether b is one of the enumerated backends.
+func (b Backend) known() bool { return b >= 0 && int(b) < len(backendNames) }
 
 // ExactUniform reports whether the backend draws from the exactly
 // uniform distribution over all n! permutations. It is false only for
@@ -76,40 +98,27 @@ func (b Backend) String() string { return b.internal().String() }
 // check this gate before accepting a backend.
 func (b Backend) ExactUniform() bool { return b != BackendBijective }
 
-func (b Backend) internal() engine.Backend {
-	switch b {
-	case BackendSharedMem:
-		return engine.SharedMem
-	case BackendInPlace:
-		return engine.InPlace
-	case BackendBijective:
-		return engine.Bijective
-	case BackendCluster:
-		return engine.Cluster
-	default:
-		return engine.Sim
+// ParseBackend converts a flag value ("sim", "shmem", "inplace",
+// "bijective", "cluster", or one of their other spellings) into a
+// Backend.
+func ParseBackend(s string) (Backend, error) {
+	for b, names := range backendNames {
+		if slices.Contains(names, s) {
+			return Backend(b), nil
+		}
 	}
+	want := make([]string, len(backendNames))
+	for b := range want {
+		want[b] = Backend(b).String()
+	}
+	last := len(want) - 1
+	return 0, fmt.Errorf("randperm: unknown backend %q (want %s or %s)", s, strings.Join(want[:last], ", "), want[last])
 }
 
-// ParseBackend converts a flag value ("sim", "shmem", "inplace",
-// "bijective", "cluster") into a Backend.
-func ParseBackend(s string) (Backend, error) {
-	eb, ok := engine.ParseBackend(s)
-	if !ok {
-		return 0, fmt.Errorf("randperm: unknown backend %q (want sim, shmem, inplace, bijective or cluster)", s)
-	}
-	switch eb {
-	case engine.SharedMem:
-		return BackendSharedMem, nil
-	case engine.InPlace:
-		return BackendInPlace, nil
-	case engine.Bijective:
-		return BackendBijective, nil
-	case engine.Cluster:
-		return BackendCluster, nil
-	default:
-		return BackendSim, nil
-	}
+// errUnknownBackend is the error for a Backend value outside the
+// enumeration.
+func errUnknownBackend(b Backend) error {
+	return fmt.Errorf("randperm: unknown backend %v", b)
 }
 
 // MatrixAlg selects how the parallel shuffle samples its communication
@@ -183,6 +192,18 @@ type Options struct {
 	Rounds int
 }
 
+// engineOptions translates o for the shared-memory engines, which
+// ignore whichever fields do not apply to them (Rounds outside the
+// bijective engine).
+func (o Options) engineOptions(cancel <-chan struct{}) engine.Options {
+	return engine.Options{Workers: o.Parallelism, Seed: o.Seed, Rounds: o.Rounds, Cancel: cancel}
+}
+
+// coreConfig translates o for the simulated machine.
+func (o Options) coreConfig() core.Config {
+	return core.Config{Seed: o.Seed, Matrix: o.Matrix.internal()}
+}
+
 func (o Options) withDefaults() Options {
 	if o.Procs == 0 {
 		o.Procs = 8
@@ -208,7 +229,12 @@ type Report struct {
 	TotalDraws int64 // summed raw random draws
 }
 
-func reportFrom(m *pro.Machine) Report {
+// reportOf is the Report of a run on p processors: the full accounting
+// of the simulated machine m, or only Procs when no machine ran.
+func reportOf(m *pro.Machine, p int) Report {
+	if m == nil {
+		return Report{Procs: p}
+	}
 	r := m.Report()
 	return Report{
 		Procs:      r.P,
@@ -242,46 +268,30 @@ func parallelShuffle[T any](data []T, opt Options, cancel <-chan struct{}) ([]T,
 	if opt.Procs < 1 {
 		return nil, Report{}, fmt.Errorf("randperm: Procs must be positive, got %d", opt.Procs)
 	}
-	eopt := engine.Options{
-		Workers: opt.Parallelism,
-		Seed:    opt.Seed,
-		Cancel:  cancel,
-	}
+	var m *pro.Machine
+	var permute func([]T, int, engine.Options) ([]T, error)
 	switch opt.Backend {
+	case BackendSim:
+		permute = func(data []T, p int, _ engine.Options) (out []T, err error) {
+			out, m, err = core.PermuteSlice(data, p, opt.coreConfig())
+			return out, err
+		}
 	case BackendSharedMem:
-		out, err := engine.PermuteSlice(data, opt.Procs, eopt)
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: opt.Procs}, nil
+		permute = engine.PermuteSlice[T]
 	case BackendInPlace:
-		out, err := engine.PermuteSliceInPlace(data, opt.Procs, eopt)
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: opt.Procs}, nil
+		permute = engine.PermuteSliceInPlace[T]
 	case BackendBijective:
-		eopt.Rounds = opt.Rounds
-		out, err := engine.PermuteSliceBijective(data, opt.Procs, eopt)
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: opt.Procs}, nil
+		permute = engine.PermuteSliceBijective[T]
 	case BackendCluster:
-		out, err := engine.PermuteSliceCGM(data, opt.Procs, eopt)
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: opt.Procs}, nil
+		permute = engine.PermuteSliceCGM[T]
+	default:
+		return nil, Report{}, errUnknownBackend(opt.Backend)
 	}
-	out, m, err := core.PermuteSlice(data, opt.Procs, core.Config{
-		Seed:   opt.Seed,
-		Matrix: opt.Matrix.internal(),
-	})
+	out, err := permute(data, opt.Procs, opt.engineOptions(cancel))
 	if err != nil {
 		return nil, Report{}, err
 	}
-	return out, reportFrom(m), nil
+	return out, reportOf(m, opt.Procs), nil
 }
 
 // ParallelShuffleBlocks is the general form of Problem 1: the input
@@ -291,56 +301,31 @@ func parallelShuffle[T any](data []T, opt Options, cancel <-chan struct{}) ([]T,
 // likely.
 func ParallelShuffleBlocks[T any](blocks [][]T, targetSizes []int64, opt Options) ([][]T, Report, error) {
 	opt = opt.withDefaults()
+	var m *pro.Machine
+	var permute func([][]T, []int64, engine.Options) ([][]T, error)
 	switch opt.Backend {
-	case BackendSharedMem:
-		out, err := engine.PermuteBlocks(blocks, targetSizes, engine.Options{
-			Workers: opt.Parallelism,
-			Seed:    opt.Seed,
-		})
-		if err != nil {
-			return nil, Report{}, err
+	case BackendSim:
+		permute = func(blocks [][]T, sizes []int64, _ engine.Options) (out [][]T, err error) {
+			out, m, err = core.Permute(blocks, sizes, opt.coreConfig())
+			return out, err
 		}
-		return out, Report{Procs: len(blocks)}, nil
-	case BackendInPlace:
-		out, err := engine.PermuteBlocksInPlace(blocks, targetSizes, engine.Options{
-			Workers: opt.Parallelism,
-			Seed:    opt.Seed,
-		})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: len(blocks)}, nil
-	case BackendCluster:
+	case BackendSharedMem, BackendCluster:
 		// The blocked form IS the cluster decomposition: prescribed
 		// margins, exact matrix, per-block streams — identical to the
 		// shared-memory scatter.
-		out, err := engine.PermuteBlocks(blocks, targetSizes, engine.Options{
-			Workers: opt.Parallelism,
-			Seed:    opt.Seed,
-		})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: len(blocks)}, nil
+		permute = engine.PermuteBlocks[T]
+	case BackendInPlace:
+		permute = engine.PermuteBlocksInPlace[T]
 	case BackendBijective:
-		out, err := engine.PermuteBlocksBijective(blocks, targetSizes, engine.Options{
-			Workers: opt.Parallelism,
-			Seed:    opt.Seed,
-			Rounds:  opt.Rounds,
-		})
-		if err != nil {
-			return nil, Report{}, err
-		}
-		return out, Report{Procs: len(blocks)}, nil
+		permute = engine.PermuteBlocksBijective[T]
+	default:
+		return nil, Report{}, errUnknownBackend(opt.Backend)
 	}
-	out, m, err := core.Permute(blocks, targetSizes, core.Config{
-		Seed:   opt.Seed,
-		Matrix: opt.Matrix.internal(),
-	})
+	out, err := permute(blocks, targetSizes, opt.engineOptions(nil))
 	if err != nil {
 		return nil, Report{}, err
 	}
-	return out, reportFrom(m), nil
+	return out, reportOf(m, len(blocks)), nil
 }
 
 // EvenBlocks returns n split into p block sizes as evenly as possible,

@@ -22,12 +22,9 @@ func ParallelSample[T any](data []T, k int64, opt Options) ([]T, Report, error) 
 	if p < 1 {
 		p = 1
 	}
-	sample, m, err := core.SampleKSlice(data, k, p, core.Config{
-		Seed:   opt.Seed,
-		Matrix: opt.Matrix.internal(),
-	})
+	sample, m, err := core.SampleKSlice(data, k, p, opt.coreConfig())
 	if err != nil {
 		return nil, Report{}, err
 	}
-	return sample, reportFrom(m), nil
+	return sample, reportOf(m, p), nil
 }

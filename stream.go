@@ -102,6 +102,9 @@ func NewPermuter(n int64, opt Options) (*Permuter, error) {
 	if opt.Procs < 1 {
 		return nil, fmt.Errorf("randperm: Procs must be positive, got %d", opt.Procs)
 	}
+	if !opt.Backend.known() {
+		return nil, errUnknownBackend(opt.Backend)
+	}
 	p := &Permuter{n: n, opt: opt}
 	if opt.Backend == BackendBijective {
 		p.bij = newBijection(n, opt)
