@@ -77,6 +77,35 @@ func TestUnknownBackendRefused(t *testing.T) {
 	}
 }
 
+// TestUnknownMatrixAlgRefused: a MatrixAlg value outside the
+// enumeration names itself and is an error on every Sim entry point,
+// never a silent run of MatrixOpt.
+func TestUnknownMatrixAlgRefused(t *testing.T) {
+	for a, want := range map[randperm.MatrixAlg]string{
+		randperm.MatrixOpt: "opt", randperm.MatrixLog: "log", randperm.MatrixSeq: "seq",
+		7: "MatrixAlg(7)", -1: "MatrixAlg(-1)",
+	} {
+		if got := a.String(); got != want {
+			t.Errorf("MatrixAlg(%d).String() = %q, want %q", int(a), got, want)
+		}
+	}
+	opt := randperm.Options{Matrix: 7}
+	const want = "randperm: unknown matrix algorithm MatrixAlg(7)"
+	if _, _, err := randperm.ParallelShuffle(iotaInt64(10), opt); err == nil || err.Error() != want {
+		t.Errorf("ParallelShuffle: err = %v, want %q", err, want)
+	}
+	blocks := [][]int64{iotaInt64(5), iotaInt64(5)}
+	if _, _, err := randperm.ParallelShuffleBlocks(blocks, []int64{5, 5}, opt); err == nil || err.Error() != want {
+		t.Errorf("ParallelShuffleBlocks: err = %v, want %q", err, want)
+	}
+	if _, _, err := randperm.ParallelSample(iotaInt64(10), 3, opt); err == nil || err.Error() != want {
+		t.Errorf("ParallelSample: err = %v, want %q", err, want)
+	}
+	if _, _, err := randperm.CommMatrixParallel([]int64{5, 5}, []int64{5, 5}, opt); err == nil || err.Error() != want {
+		t.Errorf("CommMatrixParallel: err = %v, want %q", err, want)
+	}
+}
+
 // TestSharedMemShuffle checks permutation validity, input preservation,
 // and the Report contract across decomposition widths and worker counts.
 func TestSharedMemShuffle(t *testing.T) {

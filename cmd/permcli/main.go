@@ -68,15 +68,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var matrix randperm.MatrixAlg
-	switch *alg {
-	case "opt":
-		matrix = randperm.MatrixOpt
-	case "log":
-		matrix = randperm.MatrixLog
-	case "seq":
-		matrix = randperm.MatrixSeq
-	default:
+	matrix := randperm.MatrixAlg(-1)
+	for a := randperm.MatrixOpt; a <= randperm.MatrixSeq; a++ {
+		if a.String() == *alg {
+			matrix = a
+		}
+	}
+	if matrix < 0 {
 		fmt.Fprintf(stderr, "permcli: unknown -alg %q (want opt, log or seq)\n", *alg)
 		return 2
 	}

@@ -21,7 +21,11 @@ func CommMatrixParallel(rowSizes, colSizes []int64, opt Options) ([][]int64, Rep
 	if p == 0 {
 		return nil, Report{}, fmt.Errorf("randperm: need at least one source block")
 	}
-	m, mach, err := core.SampleRows(p, opt.Seed, rowSizes, colSizes, opt.Matrix.internal())
+	cfg, err := opt.coreConfig()
+	if err != nil {
+		return nil, Report{}, err
+	}
+	m, mach, err := core.SampleRows(p, cfg.Seed, rowSizes, colSizes, cfg.Matrix)
 	if err != nil {
 		return nil, Report{}, err
 	}

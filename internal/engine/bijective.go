@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -307,12 +308,12 @@ func PermuteSliceBijective[T any](data []T, chunks int, opt Options) ([]T, error
 	n := int64(len(data))
 	bij := newBijectionOpt(n, opt)
 	out := make([]T, n)
-	sizes := evenBlocks(n, chunks)
+	sizes := core.EvenBlocks(n, chunks)
 	off := make([]int64, chunks+1)
 	for c, s := range sizes {
 		off[c+1] = off[c] + s
 	}
-	pool := NewPoolCancel(min(opt.workers(), chunks), opt.Seed, opt.Cancel)
+	pool := NewPool(min(opt.workers(), chunks), opt.Cancel)
 	defer pool.Close()
 	if err := pool.For(chunks, func(c int) {
 		var idx [bijPage]int64
@@ -350,12 +351,12 @@ func PermuteBlocksBijective[T any](in [][]T, outSizes []int64, opt Options) ([][
 	}
 	bij := newBijectionOpt(n, opt)
 	out := make([]T, n)
-	sizes := evenBlocks(n, p)
+	sizes := core.EvenBlocks(n, p)
 	off := make([]int64, p+1)
 	for c, s := range sizes {
 		off[c+1] = off[c] + s
 	}
-	pool := NewPoolCancel(min(opt.workers(), p), opt.Seed, opt.Cancel)
+	pool := NewPool(min(opt.workers(), p), opt.Cancel)
 	defer pool.Close()
 	if err := pool.For(p, func(c int) {
 		var idx [bijPage]int64

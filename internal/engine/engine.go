@@ -1,16 +1,15 @@
-// Package engine defines the execution-backend abstraction behind the
-// parallel API: the four phases of the paper's Algorithm 1 (local
-// shuffle, communication-matrix sample, data exchange, local shuffle)
-// can run on any of several interchangeable backends. The backends are
-// named in one place, the backend table of package randperm.
+// Package engine holds the in-process backends of the parallel API
+// other than the simulated machine. Each runs the four phases of the
+// paper's Algorithm 1 (local shuffle, communication-matrix sample, data
+// exchange, local shuffle), or computes the permutation outright; the
+// backends are named in one place, the backend table of package
+// randperm.
 //
-//   - Sim is the simulated PRO machine of internal/pro: one goroutine
-//     per processor, message passing through mailboxes, and full
+//   - Sim, the message-passing reference, is not in this package: it is
+//     the simulated PRO machine of internal/pro, running core.Permute
+//     with one goroutine per processor, mailboxes, and full
 //     superstep/byte/draw accounting, so the paper's Theta-bounds stay
-//     observable. The message-passing formulation of Algorithm 1
-//     (core.PermuteOn) is written once against the Engine and Worker
-//     interfaces below; *pro.Proc implements Worker and
-//     pro.(*Machine).Engine() adapts a machine.
+//     observable.
 //
 //   - SharedMem, implemented in this package, executes the same four
 //     phases with no mailboxes at all: per-block jump-separated RNG
@@ -51,46 +50,3 @@
 // Sim, SharedMem and InPlace produce exactly uniform permutations;
 // Bijective trades exactness over S_n for O(1)-state random access.
 package engine
-
-// Worker is the per-processor view of an Engine inside an SPMD body: the
-// method set Algorithm 1 and the matrix sampling algorithms need. It is
-// the interface extracted from *pro.Proc, which remains the canonical
-// message-passing implementation.
-//
-// A Worker is only valid inside the body passed to Engine.Run and must
-// not be shared with other goroutines.
-type Worker interface {
-	// Rank returns this worker's id in [0, P).
-	Rank() int
-	// P returns the number of workers.
-	P() int
-	// Barrier synchronizes all workers (and, on accounting backends,
-	// starts a new superstep). Every worker must call Barrier the same
-	// number of times.
-	Barrier()
-	// Send transmits payload to worker `to`; self-sends are allowed.
-	Send(to int, payload any)
-	// Recv blocks until a message from worker `from` is available and
-	// returns its payload. Messages from one source arrive in send
-	// order.
-	Recv(from int) any
-	// RecvAny blocks until any message is available and returns its
-	// source and payload.
-	RecvAny() (from int, payload any)
-	// AddOps charges n local operations to the cost accounting.
-	// Backends without accounting discard the charge.
-	AddOps(n int64)
-	// AddDraws charges n raw random draws to the cost accounting.
-	AddDraws(n int64)
-}
-
-// Engine runs SPMD bodies over a fixed set of workers. The simulated PRO
-// machine is the canonical implementation (pro.(*Machine).Engine()).
-type Engine interface {
-	// P returns the number of workers an SPMD body will run on.
-	P() int
-	// Run executes body once per worker, each concurrently, and blocks
-	// until all return. A panic in any worker is captured and returned
-	// as an error annotated with the worker's rank.
-	Run(body func(Worker)) error
-}

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/bits"
 
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -59,13 +60,13 @@ func permuteFlat[T any](data []T, chunks int, opt Options, cutoff, maxK int) ([]
 	k := bucketCountFor(n, cutoff, maxK)
 	streams := xrand.NewStreams(opt.Seed, chunks+k)
 	// No phase is wider than max(chunks, k) tasks, so a larger pool
-	// would only spawn idle workers (and their streams).
-	pool := NewPoolCancel(min(opt.workers(), max(chunks, k)), opt.Seed, opt.Cancel)
+	// would only spawn idle workers.
+	pool := NewPool(min(opt.workers(), max(chunks, k)), opt.Cancel)
 	defer pool.Close()
 
 	// Phase 1: i.i.d. bucket labels, generated per chunk so chunks can
 	// run in parallel; counts[c][b] is the communication matrix.
-	chunkSizes := evenBlocks(int64(n), chunks)
+	chunkSizes := core.EvenBlocks(int64(n), chunks)
 	chunkOff := make([]int64, chunks)
 	var run int64
 	for c, s := range chunkSizes {

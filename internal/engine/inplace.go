@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -59,13 +60,13 @@ func ShuffleInPlace[T any](data []T, blocks int, opt Options) error {
 	// (not workers) keeps the output independent of the worker schedule.
 	streams := xrand.NewStreams(opt.Seed, 2*b-1)
 
-	sizes := evenBlocks(int64(n), b)
+	sizes := core.EvenBlocks(int64(n), b)
 	off := make([]int, b+1)
 	for i, s := range sizes {
 		off[i+1] = off[i] + int(s)
 	}
 
-	pool := NewPoolCancel(min(opt.workers(), b), opt.Seed, opt.Cancel)
+	pool := NewPool(min(opt.workers(), b), opt.Cancel)
 	defer pool.Close()
 
 	// Phase 1: independent leaf Fisher-Yates shuffles, one stream each.

@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"randperm/internal/xrand"
 )
 
-// ErrCanceled is the error a cancelable Pool (NewPoolCancel) returns
-// from For/ForRNG when the cancel channel closes before the range is
-// exhausted: tasks not yet claimed are abandoned, tasks already running
-// finish their current call. Callers that carry a context should map it
-// onto ctx.Err(); the engine layer has no context of its own.
+// ErrCanceled is the error a cancelable Pool returns from For when the
+// cancel channel closes before the range is exhausted: tasks not yet
+// claimed are abandoned, tasks already running finish their current
+// call. Callers that carry a context should map it onto ctx.Err(); the
+// engine layer has no context of its own.
 var ErrCanceled = errors.New("engine: canceled")
 
 // Pool is a fixed set of long-lived worker goroutines that the
@@ -23,62 +21,43 @@ var ErrCanceled = errors.New("engine: canceled")
 // leaf shuffles, then log p merge rounds) pays the goroutine spawn cost
 // once instead of once per phase.
 //
-// Every worker owns a private xrand.Xoshiro256 stream, split from the
-// pool seed by 2^192-step long jumps (xrand.NewLongStreams), so the
-// worker streams are disjoint from the per-block Jump-separated streams
-// the algorithms derive from the same seed with xrand.NewStreams.
-//
 // Determinism contract: work scheduled with For carries its randomness
 // in per-task state (the backends bind RNG streams to blocks and merge
 // nodes, never to workers), so the result is reproducible in the seed
-// and independent of the worker count — this is the mode every shipped
-// backend uses. ForRNG instead hands each task the executing worker's
-// private stream; because the dynamic schedule decides which worker runs
-// which task, output produced from those draws is NOT reproducible
-// across runs or worker counts, only its distribution is. ForRNG is the
-// documented escape hatch for algorithms that trade reproducibility for
-// zero stream-setup cost (the MergeShuffle paper's own processor-local
-// randomness, future NUMA/distributed backends); see ARCHITECTURE.md.
+// and independent of the worker count.
 //
 // A Pool must be released with Close. It is safe for one goroutine at a
-// time to call For/ForRNG; the pool itself never outlives the engine
-// call that created it.
+// time to call For; the pool itself never outlives the engine call that
+// created it.
 type Pool struct {
 	jobs   []chan *poolJob // one channel per worker, jobs are broadcast
 	wg     sync.WaitGroup  // worker goroutines
-	cancel <-chan struct{} // non-nil on cancelable pools (NewPoolCancel)
+	cancel <-chan struct{} // nil disables cancellation
 }
 
-// NewPool starts a pool of `workers` goroutines (minimum 1), each with
-// its own long-jump-separated RNG stream derived from seed.
-func NewPool(workers int, seed uint64) *Pool {
-	return NewPoolCancel(workers, seed, nil)
-}
-
-// NewPoolCancel is NewPool with a cancellation channel: when cancel is
-// closed, every in-flight For/ForRNG stops claiming new tasks and
-// returns ErrCanceled. Cancellation is checked between tasks, so its
-// granularity is one task (one block, one merge node, one index page) —
-// a closed channel never interrupts a task mid-run, which keeps the
-// determinism contract intact for the tasks that did complete. A nil
-// channel (NewPool) disables cancellation entirely.
-func NewPoolCancel(workers int, seed uint64, cancel <-chan struct{}) *Pool {
+// NewPool starts a pool of `workers` goroutines (minimum 1). When cancel
+// is closed, every in-flight For stops claiming new tasks and returns
+// ErrCanceled. Cancellation is checked between tasks, so its granularity
+// is one task (one block, one merge node, one index page) — a closed
+// channel never interrupts a task mid-run, which keeps the determinism
+// contract intact for the tasks that did complete. A nil channel
+// disables cancellation entirely.
+func NewPool(workers int, cancel <-chan struct{}) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &Pool{jobs: make([]chan *poolJob, workers), cancel: cancel}
-	rngs := xrand.NewLongStreams(seed, workers)
 	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := range p.jobs {
 		ch := make(chan *poolJob, 1)
 		p.jobs[w] = ch
-		go func(rng *xrand.Xoshiro256, ch chan *poolJob) {
+		go func() {
 			defer p.wg.Done()
 			for job := range ch {
-				job.run(rng)
+				job.run()
 				job.wg.Done()
 			}
-		}(rngs[w], ch)
+		}()
 	}
 	return p
 }
@@ -101,13 +80,6 @@ func (p *Pool) Close() {
 // recorded wins, mirroring the contract of pro.Machine.Run — and the
 // remaining tasks still run to completion, so the pool stays usable.
 func (p *Pool) For(n int, fn func(i int)) error {
-	return p.ForRNG(n, func(i int, _ *xrand.Xoshiro256) { fn(i) })
-}
-
-// ForRNG is For with the executing worker's private stream passed to
-// each task. Draws from that stream are schedule-bound: reproducible in
-// nothing but the distribution (see the Pool determinism contract).
-func (p *Pool) ForRNG(n int, fn func(i int, rng *xrand.Xoshiro256)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -124,7 +96,7 @@ func (p *Pool) ForRNG(n int, fn func(i int, rng *xrand.Xoshiro256)) error {
 // until the range is exhausted.
 type poolJob struct {
 	n      int
-	fn     func(i int, rng *xrand.Xoshiro256)
+	fn     func(i int)
 	cancel <-chan struct{}
 	next   atomic.Int64
 	wg     sync.WaitGroup
@@ -143,7 +115,7 @@ func (j *poolJob) canceled() bool {
 	}
 }
 
-func (j *poolJob) run(rng *xrand.Xoshiro256) {
+func (j *poolJob) run() {
 	for {
 		if j.canceled() {
 			j.mu.Lock()
@@ -157,7 +129,7 @@ func (j *poolJob) run(rng *xrand.Xoshiro256) {
 		if i >= j.n {
 			return
 		}
-		if err := j.protect(i, rng); err != nil {
+		if err := j.protect(i); err != nil {
 			j.mu.Lock()
 			if j.first == nil {
 				j.first = err
@@ -167,12 +139,12 @@ func (j *poolJob) run(rng *xrand.Xoshiro256) {
 	}
 }
 
-func (j *poolJob) protect(i int, rng *xrand.Xoshiro256) (err error) {
+func (j *poolJob) protect(i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: task %d panicked: %v", i, r)
 		}
 	}()
-	j.fn(i, rng)
+	j.fn(i)
 	return nil
 }

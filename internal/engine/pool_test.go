@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"randperm/internal/xrand"
 )
 
 // TestPoolFor checks the basic parallel-for contract: every index runs
@@ -13,7 +11,7 @@ import (
 // larger than the pool.
 func TestPoolFor(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 13} {
-		pool := NewPool(w, 1)
+		pool := NewPool(w, nil)
 		if pool.Workers() != w {
 			t.Fatalf("Workers() = %d, want %d", pool.Workers(), w)
 		}
@@ -42,7 +40,7 @@ func TestPoolFor(t *testing.T) {
 // phase.
 func TestPoolPanic(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		pool := NewPool(w, 1)
+		pool := NewPool(w, nil)
 		var ran atomic.Int64
 		err := pool.For(8, func(i int) {
 			if i == 3 {
@@ -61,70 +59,5 @@ func TestPoolPanic(t *testing.T) {
 			t.Fatalf("workers=%d: pool unusable after panic: %v", w, err)
 		}
 		pool.Close()
-	}
-}
-
-// TestPoolWorkerStreams: each worker owns a private long-jump-separated
-// stream. With one worker the schedule is trivial, so ForRNG draws are
-// reproducible and must match xrand.NewLongStreams directly; with many
-// workers the draws must come from distinct generator states (no stream
-// is ever shared between concurrent tasks).
-func TestPoolWorkerStreams(t *testing.T) {
-	pool := NewPool(1, 42)
-	var got [4]uint64
-	if err := pool.ForRNG(4, func(i int, rng *xrand.Xoshiro256) {
-		got[i] = rng.Uint64()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-	want := xrand.NewLongStreams(42, 1)[0]
-	for i, v := range got {
-		if w := want.Uint64(); v != w {
-			t.Fatalf("draw %d: got %d, want %d from the worker's long stream", i, v, w)
-		}
-	}
-
-	// Multi-worker: first draw per executing worker must be one of the
-	// distinct per-worker stream heads, never a duplicate state.
-	const workers = 4
-	heads := map[uint64]bool{}
-	for _, s := range xrand.NewLongStreams(42, workers) {
-		heads[s.Uint64()] = true
-	}
-	if len(heads) != workers {
-		t.Fatalf("worker stream heads collide: %d distinct of %d", len(heads), workers)
-	}
-	pool = NewPool(workers, 42)
-	defer pool.Close()
-	seen := make([]uint64, 64)
-	if err := pool.ForRNG(len(seen), func(i int, rng *xrand.Xoshiro256) {
-		seen[i] = rng.Uint64()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range seen {
-		for k := i + 1; k < len(seen); k++ {
-			if seen[k] == v {
-				t.Fatalf("tasks %d and %d drew identical values %d: stream shared or reused", i, k, v)
-			}
-		}
-	}
-}
-
-// TestPoolStreamsDisjointFromAlgorithm: the pool's worker streams
-// (long-jump family) must not collide with the per-block algorithm
-// streams (jump family) derived from the same seed — the property that
-// lets an engine call reuse one seed for both.
-func TestPoolStreamsDisjointFromAlgorithm(t *testing.T) {
-	const seed = 7
-	blockHeads := map[uint64]bool{}
-	for _, s := range xrand.NewStreams(seed, 64) {
-		blockHeads[s.Uint64()] = true
-	}
-	for i, s := range xrand.NewLongStreams(seed, 16) {
-		if blockHeads[s.Uint64()] {
-			t.Fatalf("worker stream %d head collides with a block stream head", i)
-		}
 	}
 }

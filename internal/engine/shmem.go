@@ -1,11 +1,11 @@
 package engine
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 
 	"randperm/internal/commat"
+	"randperm/internal/core"
 	"randperm/internal/xrand"
 )
 
@@ -87,26 +87,12 @@ func PermuteSlice[T any](data []T, chunks int, opt Options) ([]T, error) {
 // permute is the shared implementation: it returns both the flat backing
 // slice and its partition into target blocks.
 func permute[T any](in [][]T, outSizes []int64, opt Options) ([]T, [][]T, error) {
+	n, err := blockTotals(in, outSizes)
+	if err != nil {
+		return nil, nil, err
+	}
 	p, pp := len(in), len(outSizes)
-	if p == 0 {
-		return nil, nil, fmt.Errorf("engine: need at least one input block")
-	}
-	rowM := make([]int64, p)
-	var n int64
-	for i, b := range in {
-		rowM[i] = int64(len(b))
-		n += rowM[i]
-	}
-	var outN int64
-	for _, s := range outSizes {
-		if s < 0 {
-			return nil, nil, fmt.Errorf("engine: negative target block size %d", s)
-		}
-		outN += s
-	}
-	if n != outN {
-		return nil, nil, fmt.Errorf("engine: source total %d != target total %d", n, outN)
-	}
+	rowM := core.BlockSizes(in)
 
 	// Stream 0 samples the matrix; streams 1..p route the source
 	// blocks, streams p+1..p+pp shuffle the target blocks. Binding
@@ -114,8 +100,8 @@ func permute[T any](in [][]T, outSizes []int64, opt Options) ([]T, [][]T, error)
 	// the worker schedule.
 	streams := xrand.NewStreams(opt.Seed, 1+p+pp)
 	// No phase is wider than max(p, pp) tasks, so a larger pool would
-	// only spawn idle workers (and their streams).
-	pool := NewPoolCancel(min(opt.workers(), max(p, pp)), opt.Seed, opt.Cancel)
+	// only spawn idle workers.
+	pool := NewPool(min(opt.workers(), max(p, pp)), opt.Cancel)
 	defer pool.Close()
 
 	// Phase 1: one exact communication-matrix sample plus the prefix
@@ -244,18 +230,4 @@ func scatterStarts(a *commat.Matrix, colOff []int64) [][]int64 {
 		starts[i] = st
 	}
 	return starts
-}
-
-// evenBlocks splits n items into p sizes as evenly as possible, the same
-// layout as core.EvenBlocks (which this package cannot import).
-func evenBlocks(n int64, p int) []int64 {
-	sizes := make([]int64, p)
-	base, rem := n/int64(p), n%int64(p)
-	for i := range sizes {
-		sizes[i] = base
-		if int64(i) < rem {
-			sizes[i]++
-		}
-	}
-	return sizes
 }

@@ -184,8 +184,9 @@ func NewStreams(seed uint64, k int) []*Xoshiro256 {
 // jump is 2^64 times the span of Jump, these streams are disjoint from any
 // realistic number of NewStreams substreams of the same seed — the two
 // families can safely coexist (NewStreams for per-block algorithm streams,
-// NewLongStreams for per-worker scratch streams). Deterministic in
-// (seed, k); stream i does not depend on k.
+// NewLongStreams for the fresh-mode epoch keys of internal/workload, which
+// walk the same LongJump sequence). Deterministic in (seed, k); stream i
+// does not depend on k.
 func NewLongStreams(seed uint64, k int) []*Xoshiro256 {
 	base := NewXoshiro256(seed)
 	streams := make([]*Xoshiro256, k)

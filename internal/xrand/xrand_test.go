@@ -150,8 +150,8 @@ func TestNewLongStreamsIndependentAndStable(t *testing.T) {
 		}
 	}
 	// Long streams must differ from each other and from the Jump-family
-	// streams of the same seed (the two families coexist in the engine:
-	// blocks on Jump streams, pool workers on LongJump streams).
+	// streams of the same seed (the two families coexist: blocks on Jump
+	// streams, fresh-mode epoch keys on LongJump streams).
 	v := make(map[uint64]bool)
 	for _, s := range NewStreams(21, 8) {
 		v[s.Uint64()] = true
@@ -368,5 +368,21 @@ func BenchmarkShuffle1K(b *testing.B) {
 	b.SetBytes(1024 * 8)
 	for i := 0; i < b.N; i++ {
 		Shuffle(src, x)
+	}
+}
+
+// TestLongStreamsDisjointFromJumpStreams: the long-jump family must not
+// collide with the per-block algorithm streams (jump family) derived
+// from the same seed — the property that lets one seed drive both.
+func TestLongStreamsDisjointFromJumpStreams(t *testing.T) {
+	const seed = 7
+	blockHeads := map[uint64]bool{}
+	for _, s := range NewStreams(seed, 64) {
+		blockHeads[s.Uint64()] = true
+	}
+	for i, s := range NewLongStreams(seed, 16) {
+		if blockHeads[s.Uint64()] {
+			t.Fatalf("long stream %d head collides with a block stream head", i)
+		}
 	}
 }

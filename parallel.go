@@ -137,19 +137,25 @@ const (
 	MatrixSeq
 )
 
-func (a MatrixAlg) internal() core.MatrixAlg {
-	switch a {
-	case MatrixLog:
-		return core.MatrixLog
-	case MatrixSeq:
-		return core.MatrixSeq
-	default:
-		return core.MatrixOpt
-	}
+// matrixAlgs maps each MatrixAlg to the core algorithm it selects; the
+// core value also supplies the name.
+var matrixAlgs = [...]core.MatrixAlg{
+	MatrixOpt: core.MatrixOpt,
+	MatrixLog: core.MatrixLog,
+	MatrixSeq: core.MatrixSeq,
 }
 
-// String names the algorithm.
-func (a MatrixAlg) String() string { return a.internal().String() }
+// known reports whether a is one of the enumerated algorithms.
+func (a MatrixAlg) known() bool { return a >= 0 && int(a) < len(matrixAlgs) }
+
+// String names the algorithm ("opt", "log" or "seq"; "MatrixAlg(7)"
+// for a value outside the enumeration).
+func (a MatrixAlg) String() string {
+	if !a.known() {
+		return fmt.Sprintf("MatrixAlg(%d)", int(a))
+	}
+	return matrixAlgs[a].String()
+}
 
 // Options configures a parallel shuffle.
 type Options struct {
@@ -199,9 +205,13 @@ func (o Options) engineOptions(cancel <-chan struct{}) engine.Options {
 	return engine.Options{Workers: o.Parallelism, Seed: o.Seed, Rounds: o.Rounds, Cancel: cancel}
 }
 
-// coreConfig translates o for the simulated machine.
-func (o Options) coreConfig() core.Config {
-	return core.Config{Seed: o.Seed, Matrix: o.Matrix.internal()}
+// coreConfig translates o for the simulated machine, rejecting a
+// Matrix value outside the enumeration.
+func (o Options) coreConfig() (core.Config, error) {
+	if !o.Matrix.known() {
+		return core.Config{}, fmt.Errorf("randperm: unknown matrix algorithm %v", o.Matrix)
+	}
+	return core.Config{Seed: o.Seed, Matrix: matrixAlgs[o.Matrix]}, nil
 }
 
 func (o Options) withDefaults() Options {
@@ -272,8 +282,12 @@ func parallelShuffle[T any](data []T, opt Options, cancel <-chan struct{}) ([]T,
 	var permute func([]T, int, engine.Options) ([]T, error)
 	switch opt.Backend {
 	case BackendSim:
+		cfg, err := opt.coreConfig()
+		if err != nil {
+			return nil, Report{}, err
+		}
 		permute = func(data []T, p int, _ engine.Options) (out []T, err error) {
-			out, m, err = core.PermuteSlice(data, p, opt.coreConfig())
+			out, m, err = core.PermuteSlice(data, p, cfg)
 			return out, err
 		}
 	case BackendSharedMem:
@@ -305,8 +319,12 @@ func ParallelShuffleBlocks[T any](blocks [][]T, targetSizes []int64, opt Options
 	var permute func([][]T, []int64, engine.Options) ([][]T, error)
 	switch opt.Backend {
 	case BackendSim:
+		cfg, err := opt.coreConfig()
+		if err != nil {
+			return nil, Report{}, err
+		}
 		permute = func(blocks [][]T, sizes []int64, _ engine.Options) (out [][]T, err error) {
-			out, m, err = core.Permute(blocks, sizes, opt.coreConfig())
+			out, m, err = core.Permute(blocks, sizes, cfg)
 			return out, err
 		}
 	case BackendSharedMem, BackendCluster:

@@ -22,7 +22,11 @@ func ParallelSample[T any](data []T, k int64, opt Options) ([]T, Report, error) 
 	if p < 1 {
 		p = 1
 	}
-	sample, m, err := core.SampleKSlice(data, k, p, opt.coreConfig())
+	cfg, err := opt.coreConfig()
+	if err != nil {
+		return nil, Report{}, err
+	}
+	sample, m, err := core.SampleKSlice(data, k, p, cfg)
 	if err != nil {
 		return nil, Report{}, err
 	}
