@@ -29,9 +29,9 @@
 //	         hedged reads exist for. A cancelled (hedge-loser) stall
 //	         returns without serving and is counted in Aborted.
 //	Corrupt  flip one byte of the response body at a fixed offset —
-//	         past the wire header, inside the first count field — so
-//	         receiver-side verification (the matrix check) must catch
-//	         it.
+//	         past the wire header, inside the first source index — so
+//	         receiver-side verification (the framing checks) must
+//	         catch it.
 //	Error    answer 500 without touching the inner handler.
 package chaos
 
@@ -85,7 +85,8 @@ type Rule struct {
 	// Stall is the hold duration for Fault Stall.
 	Stall time.Duration
 	// FlipAt is the byte offset Fault Corrupt flips (0 means offset
-	// 36: past the 32-byte exchange header, inside the first count).
+	// 36: past the 36-byte exchange header, inside the first source
+	// index).
 	FlipAt int64
 
 	seen int // matching requests observed so far

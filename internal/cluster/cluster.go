@@ -63,6 +63,7 @@ import (
 	"randperm/internal/core"
 	"randperm/internal/engine"
 	"randperm/internal/events"
+	"randperm/internal/xrand"
 )
 
 // Config wires one node into a cluster. All nodes must agree on Procs,
@@ -130,19 +131,10 @@ type Node struct {
 	shards map[shardKey]*list.Element // value: *shardEntry
 	lru    *list.List                 // front = most recently used
 
-	// Counters for /v1/cluster/status and the permd /metrics page.
-	exchangeReqs  atomic.Int64 // exchange requests served to peers
-	exchangeItems atomic.Int64 // values shipped in exchange responses
-	chunkReqs     atomic.Int64 // shard-local chunk requests served
-	chunkItems    atomic.Int64 // values served from local shards
-	proxyReqs     atomic.Int64 // chunk requests this node sent to peers
-	proxyItems    atomic.Int64 // values fetched from peers
-	shardBuilds   atomic.Int64 // shards assembled (cache misses)
-	shardBuildNs  atomic.Int64 // wall time spent assembling shards
-	hedgedReqs    atomic.Int64 // secondary replica requests fired by the hedge timer
-	hedgeWins     atomic.Int64 // hedged requests that answered first
-	failovers     atomic.Int64 // replica requests fired because an earlier one failed
-	joinReqs      atomic.Int64 // join handshakes served to peers
+	// Traffic counters; counters() (http.go) names and describes each.
+	exchangeReqs, exchangeItems, chunkReqs, chunkItems atomic.Int64
+	proxyReqs, proxyItems, shardBuilds, shardBuildNs   atomic.Int64
+	hedgedReqs, hedgeWins, failovers, joinReqs         atomic.Int64
 }
 
 // New validates cfg and returns the node. It performs no network I/O:
@@ -412,63 +404,41 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	a := commat.SampleSeq(streams[0], sizes, sizes)
 	nd.publishRound(slot, 1, n, seed, time.Since(began), "matrix")
 
-	// Within owned target block j, source i's segment begins at the
-	// column prefix sum colCum[j-blo][i] (sources in rank order — the
-	// same layout scatterStarts gives the single-process engine).
-	colCum := make([][]int64, bhi-blo)
-	for j := blo; j < bhi; j++ {
-		cum := make([]int64, p+1)
-		for i := 0; i < p; i++ {
-			cum[i+1] = cum[i] + a.At(i, j)
+	// Round 2, the h-relation, writes straight into the shard at the
+	// engine's scatter layout: segs(i) are the windows of vals source
+	// block i fills, one per owned target block j, at starts[i][j] and
+	// a[i][j] long — disjoint by construction.
+	starts := engine.ScatterStarts(a, off[:p])
+	segs := func(i int) [][]int64 {
+		w := make([][]int64, bhi-blo)
+		for j := blo; j < bhi; j++ {
+			lo, hi := starts[i][j]-start, starts[i][j]-start+a.At(i, j)
+			w[j-blo] = vals[lo:hi:hi]
 		}
-		colCum[j-blo] = cum
+		return w
 	}
-	// place copies source i's segment for owned target j.
-	place := func(i, j int, seg []int64) {
-		base := off[j] - start + colCum[j-blo][i]
-		copy(vals[base:base+int64(len(seg))], seg)
-	}
-
-	// Round 2, local half: every source block belonging to a slot this
-	// node replicates is recomputed locally from its stream — replicas
-	// are free, so no wire traffic is spent on payloads this node can
-	// derive itself.
+	// Source slots this node does not replicate are fetched concurrently
+	// from their duty holders, each segment's count checked against our
+	// own matrix before its payload is decoded into its window; meanwhile
+	// the blocks of the slots this node replicates are routed locally —
+	// replicas are free, so no wire traffic is spent on payloads this
+	// node can derive itself.
 	began = time.Now()
-	for i := 0; i < p; i++ {
-		if !nd.hasDuty(self, ownerOfBlock(p, nodes, i)) {
-			continue
-		}
-		labels := engine.ArrangeRow(streams[1+i], a.Row(i))
-		fill := make([]int64, bhi-blo)
-		for t, lab := range labels {
-			j := int(lab)
-			if j < blo || j >= bhi {
-				continue
-			}
-			base := off[j] - start + colCum[j-blo][i]
-			vals[base+fill[j-blo]] = off[i] + int64(t)
-			fill[j-blo]++
-		}
-	}
-
-	// Round 2, remote half: the h-relation. For every source slot this
-	// node does not replicate, fetch the payloads its blocks route to
-	// the target slot from one of that slot's duty holders — primary
-	// first, failing over through the replica set; each received
-	// segment is verified against our own matrix entry before
-	// placement. Slots are fetched concurrently — their target segments
-	// are disjoint by construction.
 	var wg sync.WaitGroup
 	errs := make([]error, nodes)
 	for s := 0; s < nodes; s++ {
-		if nd.hasDuty(self, s) {
-			continue
+		if !nd.hasDuty(self, s) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[s] = nd.fetchExchange(s, slot, n, seed, segs)
+			}()
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = nd.fetchExchangeSlot(s, slot, n, seed, a, place)
-		}(s)
+	}
+	for i := 0; i < p; i++ {
+		if nd.hasDuty(self, ownerOfBlock(p, nodes, i)) {
+			routeRow(streams[1+i], a.Row(i), off[i], blo, segs(i))
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -496,4 +466,19 @@ func (nd *Node) buildShard(slot int, n int64, seed uint64) (*Shard, error) {
 	}
 	nd.publishRound(slot, 3, n, seed, time.Since(began), "arrange")
 	return &Shard{Start: start, End: end, Vals: vals}, nil
+}
+
+// routeRow is round 2 for one source block starting at global index
+// off: it draws the block's label arrangement from rng and writes each
+// item labelled for target block tLo+j into segs[j] (row[tLo+j] long),
+// in source order. The exchange server fills the segments it ships
+// with it, a shard build the windows of the blocks it replicates.
+func routeRow(rng *xrand.Xoshiro256, row []int64, off int64, tLo int, segs [][]int64) {
+	fill := make([]int, len(segs))
+	for t, lab := range engine.ArrangeRow(rng, row) {
+		if j := int(lab) - tLo; j >= 0 && j < len(segs) {
+			segs[j][fill[j]] = off + int64(t)
+			fill[j]++
+		}
+	}
 }

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"randperm/internal/commat"
@@ -33,9 +35,10 @@ func (nd *Node) publishServeEvent(peer, round, slot int, detail string) {
 // The exchange wire format (one round-2 h-relation leg, server -> one
 // requesting peer) is length-prefixed little-endian binary:
 //
-//	magic  "RPX2"                                    4 bytes
-//	seed   uint64 | n int64                          config echo —
-//	p, nodes, from, to  4 x int32                    verified by both ends
+//	exchangeHeader                                   36 bytes:
+//	  magic  "RPX2"                                    4 bytes
+//	  seed   uint64 | n int64                          config echo —
+//	  p, nodes, from, to  4 x int32                    verified by both ends
 //	then, for each source block i of slot `from`, ascending:
 //	  i      int32
 //	  for each target block j of slot `to`, ascending:
@@ -52,9 +55,30 @@ func (nd *Node) publishServeEvent(peer, round, slot int, detail string) {
 // from the slot's streams, not from node state. (RPX1 was the
 // pre-replication format whose from/to were node indices; the magic
 // bump makes a mixed-version cluster fail loudly on the first
-// exchange.)
+// exchange.) /v1/cluster/chunk bodies are bare payloads, encoded and
+// decoded by the same bulk calls (writeInt64s, readInt64s).
 
 const exchangeMagic = "RPX2"
+
+// exchangeHeader is the RPX2 preamble, field for field.
+type exchangeHeader struct {
+	Magic              [4]byte
+	Seed               uint64
+	N                  int64
+	P, Nodes, From, To int32
+}
+
+// exchangeHeader returns the preamble of the from -> to leg of (seed, n).
+func (nd *Node) exchangeHeader(n int64, seed uint64, from, to int) exchangeHeader {
+	return exchangeHeader{
+		Magic: [4]byte([]byte(exchangeMagic)), Seed: seed, N: n,
+		P: int32(nd.cfg.Procs), Nodes: int32(len(nd.cfg.Peers)), From: int32(from), To: int32(to),
+	}
+}
+
+// headerFieldEnds are the header offsets where a field ends: a body cut
+// there reads as io.EOF, one cut inside a field as io.ErrUnexpectedEOF.
+var headerFieldEnds = []int{4, 12, 20, 24, 28, 32}
 
 // Peer-call headers: every request a node sends carries its own index
 // and its current health view; every /v1/cluster/* response carries the
@@ -129,6 +153,21 @@ func (nd *Node) peerGet(ctx context.Context, k int, url string) (*http.Response,
 	return resp, nil
 }
 
+// peerCall is peerGet for calls that need a 200: a transport failure or
+// any other status (with up to 512 bytes of its body) is a *PeerError.
+func (nd *Node) peerCall(ctx context.Context, k, round int, op, url string) (*http.Response, error) {
+	resp, err := nd.peerGet(ctx, k, url)
+	if err != nil {
+		return nil, nd.peerError(k, round, op, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, nd.peerError(k, round, op, fmt.Errorf("%s: %s", resp.Status, msg))
+	}
+	return resp, nil
+}
+
 // Handler returns the node's peer-facing API, rooted at /v1/cluster/:
 //
 //	GET /v1/cluster/exchange?n=&seed=&p=&nodes=&from=&to=  round-2 payloads, source slot `from` -> target slot `to`
@@ -162,8 +201,8 @@ func (nd *Node) Handler() http.Handler {
 	})
 }
 
-// queryInt64 parses a required decimal query parameter.
-func queryInt64(r *http.Request, name string) (int64, error) {
+// queryCount parses a required non-negative decimal query parameter.
+func queryCount(r *http.Request, name string) (int64, error) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
 		return 0, fmt.Errorf("missing %s", name)
@@ -172,30 +211,37 @@ func queryInt64(r *http.Request, name string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad %s=%q: want a decimal integer", name, v)
 	}
+	if x < 0 {
+		return 0, fmt.Errorf("bad %s=%d: want a non-negative decimal integer", name, x)
+	}
 	return x, nil
 }
 
-// queryCount parses a required non-negative decimal query parameter.
-func queryCount(r *http.Request, name string) (int64, error) {
-	x, err := queryInt64(r, name)
-	if err == nil && x < 0 {
-		return 0, fmt.Errorf("bad %s=%d: want a non-negative decimal integer", name, x)
-	}
-	return x, err
-}
-
-// queryN parses and gates the domain size of a peer request: the
-// peer-facing endpoints must not accept work the public API would
-// refuse (Config.MaxN).
-func (nd *Node) queryN(r *http.Request) (int64, error) {
-	n, err := queryCount(r, "n")
-	if err != nil {
-		return 0, err
+// queryPerm parses the (n, seed) of a peer request. n is gated by
+// Config.MaxN: the peer-facing endpoints must not accept work the
+// public API would refuse.
+func (nd *Node) queryPerm(r *http.Request) (n int64, seed uint64, err error) {
+	if n, err = queryCount(r, "n"); err != nil {
+		return 0, 0, err
 	}
 	if nd.cfg.MaxN > 0 && n > nd.cfg.MaxN {
-		return 0, fmt.Errorf("n=%d exceeds this node's bound %d", n, nd.cfg.MaxN)
+		return 0, 0, fmt.Errorf("n=%d exceeds this node's bound %d", n, nd.cfg.MaxN)
 	}
-	return n, nil
+	v := r.URL.Query().Get("seed")
+	if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
+		return 0, 0, fmt.Errorf("bad seed %q", v)
+	}
+	return n, seed, nil
+}
+
+// queryIndex parses a required index into the peer list — a shard slot
+// or a node, named by what in the error.
+func (nd *Node) queryIndex(r *http.Request, name, what string) (int, error) {
+	x, err := queryCount(r, name)
+	if err != nil || x >= int64(len(nd.cfg.Peers)) {
+		return 0, fmt.Errorf("bad %s=%q: want %s in [0, %d)", name, r.URL.Query().Get(name), what, len(nd.cfg.Peers))
+	}
+	return int(x), nil
 }
 
 // handleExchange serves round 2 to one requesting peer: the label
@@ -221,14 +267,9 @@ func (nd *Node) queryN(r *http.Request) (int64, error) {
 func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 	nd.exchangeReqs.Add(1)
 	q := r.URL.Query()
-	n, err := nd.queryN(r)
+	n, seed, err := nd.queryPerm(r)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
-		return
-	}
-	seed, err := strconv.ParseUint(q.Get("seed"), 10, 64)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: bad seed %q", q.Get("seed")), http.StatusBadRequest)
+		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	// Config echo: a requester with a different width or layout gets a
@@ -242,20 +283,18 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("cluster: cluster size mismatch: peer nodes=%s, this node nodes=%d", nv, len(nd.cfg.Peers)), http.StatusConflict)
 		return
 	}
-	from64, err := queryInt64(r, "from")
-	from := int(from64)
-	if err != nil || from < 0 || from >= len(nd.cfg.Peers) {
-		http.Error(w, fmt.Sprintf("cluster: bad from=%q: want a shard slot in [0, %d)", q.Get("from"), len(nd.cfg.Peers)), http.StatusBadRequest)
+	from, err := nd.queryIndex(r, "from", "a shard slot")
+	if err != nil {
+		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if !nd.hasDuty(nd.cfg.Self, from) {
 		http.Error(w, fmt.Sprintf("cluster: this node does not replicate source slot %d (replicas=%d)", from, nd.cfg.Replicas), http.StatusForbidden)
 		return
 	}
-	to64, err := queryInt64(r, "to")
-	to := int(to64)
-	if err != nil || to < 0 || to >= len(nd.cfg.Peers) {
-		http.Error(w, fmt.Sprintf("cluster: bad to=%q: want a shard slot in [0, %d)", q.Get("to"), len(nd.cfg.Peers)), http.StatusBadRequest)
+	to, err := nd.queryIndex(r, "to", "a shard slot")
+	if err != nil {
+		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 
@@ -269,172 +308,151 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	bw := bufio.NewWriterSize(w, 1<<15)
-	writeU64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		bw.Write(b[:])
-	}
-	writeI32 := func(v int32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		bw.Write(b[:])
-	}
-	bw.WriteString(exchangeMagic)
-	writeU64(seed)
-	writeU64(uint64(n))
-	writeI32(int32(p))
-	writeI32(int32(nodes))
-	writeI32(int32(from))
-	writeI32(int32(to))
-
+	binary.Write(bw, binary.LittleEndian, nd.exchangeHeader(n, seed, from, to))
 	var shipped int64
 	for i := sLo; i < sHi; i++ {
-		labels := engine.ArrangeRow(streams[1+i], a.Row(i))
-		// Bucket this source block's payloads for the requester's
-		// targets only; one pass over the labels.
 		segs := make([][]int64, tHi-tLo)
-		for j := tLo; j < tHi; j++ {
-			segs[j-tLo] = make([]int64, 0, a.At(i, j))
+		for j := range segs {
+			segs[j] = make([]int64, a.At(i, tLo+j))
 		}
-		for t, lab := range labels {
-			if j := int(lab); j >= tLo && j < tHi {
-				segs[j-tLo] = append(segs[j-tLo], off[i]+int64(t))
-			}
-		}
-		writeI32(int32(i))
-		for j := tLo; j < tHi; j++ {
-			seg := segs[j-tLo]
-			writeU64(uint64(len(seg)))
-			for _, v := range seg {
-				writeU64(uint64(v))
+		routeRow(streams[1+i], a.Row(i), off[i], tLo, segs)
+		binary.Write(bw, binary.LittleEndian, int32(i))
+		for _, seg := range segs {
+			binary.Write(bw, binary.LittleEndian, int64(len(seg)))
+			if writeInt64s(bw, seg) != nil {
+				return // requester gone
 			}
 			shipped += int64(len(seg))
 		}
 	}
-	bw.Flush()
-	nd.exchangeItems.Add(shipped)
+	if bw.Flush() == nil { // a write error sticks in bw: every byte went out
+		nd.exchangeItems.Add(shipped)
+	}
 }
 
-// fetchExchangeSlot performs one requester leg of round 2 with replica
-// failover: it pulls the payloads source slot `from`'s blocks route
-// into target slot `to`'s blocks from one of `from`'s duty holders —
-// candidates ranked by observed health, primary first — advancing to
-// the next replica on any error. Every attempt's failure is kept in
-// the returned chain (each wrapped as a *PeerError naming the peer and
-// round), so a fully dead replica set is diagnosable per peer.
-func (nd *Node) fetchExchangeSlot(from, to int, n int64, seed uint64, a *commat.Matrix, place func(i, j int, seg []int64)) error {
-	cands := nd.health.rank(nd.replicasOf(from))
+// fetchExchange performs one requester leg of round 2: it pulls the
+// payloads source slot `from`'s blocks route into target slot `to`'s
+// blocks from one of `from`'s duty holders — ranked by observed health,
+// primary first, failing over on any error — and decodes them into the
+// windows segs hands out. A failed attempt may leave segments behind;
+// the next overwrites them with the same values, and a failed build
+// drops the shard. The returned chain keeps every attempt's *PeerError,
+// so a fully dead replica set is diagnosable per peer.
+func (nd *Node) fetchExchange(from, to int, n int64, seed uint64, segs func(i int) [][]int64) error {
+	path := fmt.Sprintf("/v1/cluster/exchange?n=%d&seed=%d&p=%d&nodes=%d&from=%d&to=%d",
+		n, seed, nd.cfg.Procs, len(nd.cfg.Peers), from, to)
 	var attempts []error
-	for try, k := range cands {
+	for try, k := range nd.health.rank(nd.replicasOf(from)) {
 		if try > 0 {
 			nd.failovers.Add(1)
 			nd.publishServeEvent(k, RoundExchange, from, "failover")
 		}
-		err := nd.fetchExchange(k, from, to, n, seed, a, place)
+		resp, err := nd.peerCall(context.Background(), k, RoundExchange, "exchange", nd.cfg.Peers[k]+path)
 		if err == nil {
-			return nil
+			err = decodeExchange(resp.Body, nd.exchangeHeader(n, seed, from, to), segs)
+			resp.Body.Close()
+			if err == nil {
+				return nil
+			}
+			err = nd.peerError(k, RoundExchange, "exchange", err)
 		}
 		attempts = append(attempts, err)
 	}
 	return fmt.Errorf("cluster: no replica of source slot %d answered the round-2 exchange: %w", from, errors.Join(attempts...))
 }
 
-// fetchExchange pulls one exchange leg from peer k and hands each
-// verified segment to place(i, j, seg). Any failure — transport,
-// status, framing or matrix disagreement — comes back as a *PeerError
-// carrying k's address and the round. place must tolerate partial
-// invocation before an error: segments are verified before placement
-// and identical across replicas, so a retry simply overwrites the same
-// values.
-func (nd *Node) fetchExchange(k, from, to int, n int64, seed uint64, a *commat.Matrix, place func(i, j int, seg []int64)) error {
-	p, nodes := nd.cfg.Procs, len(nd.cfg.Peers)
-	u := fmt.Sprintf("%s/v1/cluster/exchange?n=%d&seed=%d&p=%d&nodes=%d&from=%d&to=%d",
-		nd.cfg.Peers[k], n, seed, p, nodes, from, to)
-	resp, err := nd.peerGet(context.Background(), k, u)
+// decodeExchange reads one RPX2 body whose header must equal want into
+// the windows segs(i), one per target block of slot want.To. A window
+// is as long as the local matrix entry it realizes, and each count is
+// checked against it before the payload is read into it.
+func decodeExchange(r io.Reader, want exchangeHeader, segs func(i int) [][]int64) error {
+	br := bufio.NewReaderSize(r, 1<<15)
+	var raw [36]byte
+	got, err := io.ReadFull(br, raw[:])
+	if got >= len(exchangeMagic) && string(raw[:4]) != exchangeMagic {
+		return fmt.Errorf("bad magic %q", raw[:4])
+	}
 	if err != nil {
-		return nd.peerError(k, RoundExchange, "exchange", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nd.peerError(k, RoundExchange, "exchange", fmt.Errorf("%s: %s", resp.Status, msg))
-	}
-	br := bufio.NewReaderSize(resp.Body, 1<<15)
-	readU64 := func() (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
+		if slices.Contains(headerFieldEnds, got) {
+			err = io.EOF
 		}
-		return binary.LittleEndian.Uint64(b[:]), nil
+		return fmt.Errorf("reading header: %v", err)
 	}
-	readI32 := func() (int32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return int32(binary.LittleEndian.Uint32(b[:])), nil
-	}
-	bad := func(format string, args ...any) error {
-		return nd.peerError(k, RoundExchange, "exchange", fmt.Errorf(format, args...))
+	var h exchangeHeader
+	binary.Decode(raw[:], binary.LittleEndian, &h)
+	if h != want {
+		return fmt.Errorf("config echo mismatch: got (seed=%d n=%d p=%d nodes=%d from=%d to=%d), want (%d %d %d %d %d %d)",
+			h.Seed, h.N, h.P, h.Nodes, h.From, h.To, want.Seed, want.N, want.P, want.Nodes, want.From, want.To)
 	}
 
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return bad("reading header: %v", err)
-	}
-	if string(magic[:]) != exchangeMagic {
-		return bad("bad magic %q", magic)
-	}
-	hdr := make([]uint64, 2)
-	for i := range hdr {
-		if hdr[i], err = readU64(); err != nil {
-			return bad("reading header: %v", err)
-		}
-	}
-	ints := make([]int32, 4)
-	for i := range ints {
-		if ints[i], err = readI32(); err != nil {
-			return bad("reading header: %v", err)
-		}
-	}
-	if hdr[0] != seed || int64(hdr[1]) != n || int(ints[0]) != p ||
-		int(ints[1]) != nodes || int(ints[2]) != from || int(ints[3]) != to {
-		return bad("config echo mismatch: got (seed=%d n=%d p=%d nodes=%d from=%d to=%d), want (%d %d %d %d %d %d)",
-			hdr[0], int64(hdr[1]), ints[0], ints[1], ints[2], ints[3], seed, n, p, nodes, from, to)
-	}
-
-	sLo, sHi := blockSpan(p, nodes, from)
-	tLo, tHi := blockSpan(p, nodes, to)
+	p, nodes := int(want.P), int(want.Nodes)
+	sLo, sHi := blockSpan(p, nodes, int(want.From))
+	tLo, _ := blockSpan(p, nodes, int(want.To))
 	for i := sLo; i < sHi; i++ {
-		gotI, err := readI32()
-		if err != nil {
-			return bad("reading source header: %v", err)
+		var gotI int32
+		if err := binary.Read(br, binary.LittleEndian, &gotI); err != nil {
+			return fmt.Errorf("reading source header: %v", err)
 		}
 		if int(gotI) != i {
-			return bad("source block sequence broken: got %d, want %d", gotI, i)
+			return fmt.Errorf("source block sequence broken: got %d, want %d", gotI, i)
 		}
-		for j := tLo; j < tHi; j++ {
-			count, err := readU64()
-			if err != nil {
-				return bad("reading segment count: %v", err)
+		for j, seg := range segs(i) {
+			var count uint64
+			if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+				return fmt.Errorf("reading segment count: %v", err)
 			}
 			// The matrix-row check: the shipped count must realize the
 			// entry this node sampled locally.
-			if want := a.At(i, j); int64(count) != want {
-				return bad("matrix disagreement at a[%d][%d]: peer shipped %d values, local matrix says %d — the nodes are not running the same (seed, n, p, nodes)", i, j, count, want)
+			if local := int64(len(seg)); int64(count) != local {
+				return fmt.Errorf("matrix disagreement at a[%d][%d]: peer shipped %d values, local matrix says %d — the nodes are not running the same (seed, n, p, nodes)", i, tLo+j, count, local)
 			}
-			seg := make([]int64, count)
-			for t := range seg {
-				v, err := readU64()
-				if err != nil {
-					return bad("reading segment payload: %v", err)
-				}
-				seg[t] = int64(v)
+			if _, err := readInt64s(br, seg); err != nil {
+				return fmt.Errorf("reading segment payload: %v", err)
 			}
-			place(i, j, seg)
 		}
 	}
 	return nil
+}
+
+// writeInt64s writes vs to bw as little-endian words, encoded straight
+// into bw's free space a buffer at a time.
+func writeInt64s(bw *bufio.Writer, vs []int64) error {
+	for len(vs) > 0 {
+		if bw.Available() < 8 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		m := min(len(vs), bw.Available()/8)
+		b, _ := binary.Append(bw.AvailableBuffer(), binary.LittleEndian, vs[:m])
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+		vs = vs[m:]
+	}
+	return nil
+}
+
+// readInt64s fills dst with little-endian words decoded straight out of
+// br's buffer and returns how many it decoded. A short body fails the
+// way a word-by-word io.ReadFull would: io.EOF when it ends between two
+// words, io.ErrUnexpectedEOF when it ends inside one.
+func readInt64s(br *bufio.Reader, dst []int64) (int, error) {
+	done := 0
+	for done < len(dst) {
+		b, err := br.Peek(min(8*(len(dst)-done), br.Size()))
+		m := len(b) / 8
+		binary.Decode(b, binary.LittleEndian, dst[done:done+m])
+		br.Discard(8 * m)
+		done += m
+		if err != nil {
+			if err == io.EOF && len(b)%8 != 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return done, err
+		}
+	}
+	return done, nil
 }
 
 // handleChunk serves values of the (seed, n) permutation strictly from
@@ -445,24 +463,19 @@ func (nd *Node) fetchExchange(k, from, to int, n int64, seed uint64, a *commat.M
 // impossible by construction.
 func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 	nd.chunkReqs.Add(1)
-	n, err := nd.queryN(r)
+	n, seed, err := nd.queryPerm(r)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
-		return
-	}
-	seed, err := strconv.ParseUint(r.URL.Query().Get("seed"), 10, 64)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: bad seed %q", r.URL.Query().Get("seed")), http.StatusBadRequest)
+		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	start, err := queryCount(r, "start")
 	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
+		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	length, err := queryCount(r, "len")
 	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: %v", err), http.StatusBadRequest)
+		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	// Find the replicated slot containing the range. length is compared
@@ -488,14 +501,9 @@ func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	bw := bufio.NewWriterSize(w, 1<<15)
-	var b [8]byte
-	for _, v := range sh.Vals[start-sh.Start : start-sh.Start+length] {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		if _, err := bw.Write(b[:]); err != nil {
-			return
-		}
+	if writeInt64s(bw, sh.Vals[start-sh.Start:start-sh.Start+length]) != nil || bw.Flush() != nil {
+		return // requester gone: nothing counted
 	}
-	bw.Flush()
 	nd.chunkItems.Add(length)
 }
 
@@ -505,21 +513,16 @@ func (nd *Node) handleChunk(w http.ResponseWriter, r *http.Request) {
 func (nd *Node) fetchChunk(ctx context.Context, k int, n int64, seed uint64, dst []int64, start int64) error {
 	u := fmt.Sprintf("%s/v1/cluster/chunk?n=%d&seed=%d&start=%d&len=%d",
 		nd.cfg.Peers[k], n, seed, start, len(dst))
-	resp, err := nd.peerGet(ctx, k, u)
+	resp, err := nd.peerCall(ctx, k, RoundServe, "chunk", u)
 	if err != nil {
-		return nd.peerError(k, RoundServe, "chunk", err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("%s: %s", resp.Status, msg))
-	}
-	buf := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+	if got, err := readInt64s(bufio.NewReaderSize(resp.Body, 1<<15), dst); err != nil {
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF // the whole body is one read
+		}
 		return nd.peerError(k, RoundServe, "chunk", fmt.Errorf("short read: %w", err))
-	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	nd.proxyReqs.Add(1)
 	nd.proxyItems.Add(int64(len(dst)))
@@ -625,6 +628,10 @@ func (nd *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	nd.mu.Unlock()
+	counters := make(map[string]int64)
+	for _, c := range nd.counters() {
+		counters[c.name] = c.v.Load()
+	}
 	states := nd.health.snapshot()
 	peerHealth := make([]string, len(states))
 	for k, s := range states {
@@ -646,42 +653,43 @@ func (nd *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"geometry_hash":   nd.Geometry().Hash(),
 		"max_shards":      nd.cfg.MaxShards,
 		"resident_shards": resident,
-		"counters": map[string]int64{
-			"exchange_requests": nd.exchangeReqs.Load(),
-			"exchange_items":    nd.exchangeItems.Load(),
-			"chunk_requests":    nd.chunkReqs.Load(),
-			"chunk_items":       nd.chunkItems.Load(),
-			"proxied_requests":  nd.proxyReqs.Load(),
-			"proxied_items":     nd.proxyItems.Load(),
-			"shard_builds":      nd.shardBuilds.Load(),
-			"shard_build_ns":    nd.shardBuildNs.Load(),
-			"hedged_requests":   nd.hedgedReqs.Load(),
-			"hedge_wins":        nd.hedgeWins.Load(),
-			"failovers":         nd.failovers.Load(),
-			"join_requests":     nd.joinReqs.Load(),
-		},
+		"counters":        counters,
 	})
+}
+
+// counter is one traffic counter with its help text.
+type counter struct {
+	name, help string
+	v          *atomic.Int64
+}
+
+// counters lists the node's traffic counters in page order, each under
+// its /v1/cluster/status name (permd_cluster_<name>_total on /metrics).
+func (nd *Node) counters() []counter {
+	return []counter{
+		{"exchange_requests", "Round-2 exchange requests served to peers.", &nd.exchangeReqs},
+		{"exchange_items", "Values shipped to peers in exchange responses.", &nd.exchangeItems},
+		{"chunk_requests", "Shard-local chunk requests served to peers.", &nd.chunkReqs},
+		{"chunk_items", "Values served to peers from local shards.", &nd.chunkItems},
+		{"proxied_requests", "Chunk requests this node sent to owning peers.", &nd.proxyReqs},
+		{"proxied_items", "Values fetched from owning peers.", &nd.proxyItems},
+		{"shard_builds", "Shards assembled through the three exchange rounds.", &nd.shardBuilds},
+		{"shard_build_ns", "Wall nanoseconds spent assembling shards.", &nd.shardBuildNs},
+		{"hedged_requests", "Secondary replica reads fired by the hedge timer.", &nd.hedgedReqs},
+		{"hedge_wins", "Hedged replica reads that answered first.", &nd.hedgeWins},
+		{"failovers", "Replica requests fired because an earlier replica failed.", &nd.failovers},
+		{"join_requests", "Join handshakes served to peers.", &nd.joinReqs},
+	}
 }
 
 // WriteMetrics appends the node's counters to a Prometheus text page,
 // in the permd_cluster_* namespace; the service layer calls it from
 // /metrics when cluster mode is on.
 func (nd *Node) WriteMetrics(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	for _, c := range nd.counters() {
+		name := "permd_cluster_" + c.name + "_total"
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, c.help, name, name, c.v.Load())
 	}
-	counter("permd_cluster_exchange_requests_total", "Round-2 exchange requests served to peers.", nd.exchangeReqs.Load())
-	counter("permd_cluster_exchange_items_total", "Values shipped to peers in exchange responses.", nd.exchangeItems.Load())
-	counter("permd_cluster_chunk_requests_total", "Shard-local chunk requests served to peers.", nd.chunkReqs.Load())
-	counter("permd_cluster_chunk_items_total", "Values served to peers from local shards.", nd.chunkItems.Load())
-	counter("permd_cluster_proxied_requests_total", "Chunk requests this node sent to owning peers.", nd.proxyReqs.Load())
-	counter("permd_cluster_proxied_items_total", "Values fetched from owning peers.", nd.proxyItems.Load())
-	counter("permd_cluster_shard_builds_total", "Shards assembled through the three exchange rounds.", nd.shardBuilds.Load())
-	counter("permd_cluster_shard_build_ns_total", "Wall nanoseconds spent assembling shards.", nd.shardBuildNs.Load())
-	counter("permd_cluster_hedged_requests_total", "Secondary replica reads fired by the hedge timer.", nd.hedgedReqs.Load())
-	counter("permd_cluster_hedge_wins_total", "Hedged replica reads that answered first.", nd.hedgeWins.Load())
-	counter("permd_cluster_failovers_total", "Replica requests fired because an earlier replica failed.", nd.failovers.Load())
-	counter("permd_cluster_join_requests_total", "Join handshakes served to peers.", nd.joinReqs.Load())
 	fmt.Fprintf(w, "# HELP permd_cluster_peer_health Peer health as observed by this node (0 healthy, 1 suspect, 2 down).\n")
 	fmt.Fprintf(w, "# TYPE permd_cluster_peer_health gauge\n")
 	for k, s := range nd.health.snapshot() {

@@ -79,18 +79,16 @@ var ErrGeometryMismatch = errors.New("cluster: geometry mismatch")
 // the joining node — the join IS the rejoin protocol.
 func (nd *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	nd.joinReqs.Add(1)
-	q := r.URL.Query()
-	node64, err := queryInt64(r, "node")
-	node := int(node64)
-	if err != nil || node < 0 || node >= len(nd.cfg.Peers) {
-		http.Error(w, fmt.Sprintf("cluster: bad node=%q: want an index in [0, %d)", q.Get("node"), len(nd.cfg.Peers)), http.StatusBadRequest)
+	node, err := nd.queryIndex(r, "node", "an index")
+	if err != nil {
+		http.Error(w, "cluster: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	g := nd.Geometry()
 	hash := g.Hash()
 	body := map[string]any{"node": nd.cfg.Self, "geometry": g, "hash": hash}
 	w.Header().Set("Content-Type", "application/json")
-	if got := q.Get("hash"); got != hash {
+	if got := r.URL.Query().Get("hash"); got != hash {
 		nd.publishJoin(node, "in", "mismatch")
 		w.WriteHeader(http.StatusConflict)
 		json.NewEncoder(w).Encode(body)

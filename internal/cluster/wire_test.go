@@ -1,12 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"randperm/internal/commat"
+	"randperm/internal/core"
+	"randperm/internal/engine"
 )
 
 // TestWireGolden pins the bytes the peer endpoints put on the wire: the
@@ -190,4 +196,145 @@ func TestWireChunkFailures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goneWriter is a ResponseWriter whose requester has gone away: every
+// body write fails.
+type goneWriter struct{ h http.Header }
+
+func (g *goneWriter) Header() http.Header       { return g.h }
+func (g *goneWriter) WriteHeader(int)           {}
+func (g *goneWriter) Write([]byte) (int, error) { return 0, errors.New("requester gone") }
+
+// TestWireUnsentItemsNotCounted: the peer endpoints count the items of
+// a response only once it is flushed, so a write that fails adds
+// nothing to exchange_items or chunk_items — the requests themselves
+// are still counted.
+func TestWireUnsentItemsNotCounted(t *testing.T) {
+	for _, c := range []struct {
+		name, url   string
+		peers       []string
+		reqs, items func(*Node) int64
+	}{
+		{"exchange", "/v1/cluster/exchange?n=40&seed=2&p=4&nodes=2&from=1&to=0", []string{"http://node0", "http://node1"},
+			func(nd *Node) int64 { return nd.exchangeReqs.Load() }, func(nd *Node) int64 { return nd.exchangeItems.Load() }},
+		{"chunk", "/v1/cluster/chunk?n=1000&seed=7&start=3&len=10", []string{"http://node1"},
+			func(nd *Node) int64 { return nd.chunkReqs.Load() }, func(nd *Node) int64 { return nd.chunkItems.Load() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nd, err := New(Config{Self: len(c.peers) - 1, Peers: c.peers, Procs: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nd.Handler().ServeHTTP(&goneWriter{h: http.Header{}}, httptest.NewRequest("GET", c.url, nil))
+			if got := c.reqs(nd); got != 1 {
+				t.Errorf("%s requests = %d, want 1", c.name, got)
+			}
+			if got := c.items(nd); got != 0 {
+				t.Errorf("%s items = %d after a failed write, want 0", c.name, got)
+			}
+		})
+	}
+}
+
+// FuzzExchangeDecode feeds arbitrary peer bytes to the exchange decoder
+// of a 2-node, p=4 requester building slot 0 from slot 1. Peer bytes
+// are outside input: the decoder must never panic, must never write
+// outside the windows of the source blocks it fetches (the rest of the
+// shard belongs to the local half), and may return nil only for a body
+// whose header and every count match — in which case the windows hold
+// exactly the body's payloads.
+func FuzzExchangeDecode(f *testing.F) {
+	const n, p, seed = 40, 4, 2
+	peer, err := New(Config{Self: 1, Peers: []string{"http://node0", "http://node1"}, Procs: p})
+	if err != nil {
+		f.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	peer.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/cluster/exchange?n=40&seed=2&p=4&nodes=2&from=1&to=0", nil))
+	honest := w.Body.Bytes()
+	for _, b := range [][]byte{honest, honest[:36], honest[:52], nil, []byte("RPX2")} {
+		f.Add(b)
+	}
+
+	want := peer.exchangeHeader(n, seed, 1, 0)
+	sizes := core.EvenBlocks(n, p)
+	a := commat.SampleSeq(engine.CGMStreams(seed, p)[0], sizes, sizes)
+	off := blockOffsets(n, p)
+	starts := engine.ScatterStarts(a, off[:p])
+	sLo, sHi := blockSpan(p, 2, 1)
+	tLo, tHi := blockSpan(p, 2, 0)
+	shardLen := off[tHi] - off[tLo]
+	owned := make([]bool, shardLen)
+	for i := sLo; i < sHi; i++ {
+		for j := tLo; j < tHi; j++ {
+			for k := starts[i][j]; k < starts[i][j]+a.At(i, j); k++ {
+				owned[k-off[tLo]] = true
+			}
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		const untouched = -7
+		vals := make([]int64, shardLen)
+		for k := range vals {
+			vals[k] = untouched
+		}
+		segs := func(i int) [][]int64 {
+			if i < sLo || i >= sHi {
+				t.Fatalf("decoder asked for the windows of source %d outside [%d, %d)", i, sLo, sHi)
+			}
+			ws := make([][]int64, tHi-tLo)
+			for j := tLo; j < tHi; j++ {
+				lo, hi := starts[i][j]-off[tLo], starts[i][j]-off[tLo]+a.At(i, j)
+				ws[j-tLo] = vals[lo:hi:hi]
+			}
+			return ws
+		}
+		err := decodeExchange(bytes.NewReader(body), want, segs)
+		for k, v := range vals {
+			if !owned[k] && v != untouched {
+				t.Fatalf("decoder wrote %d at shard offset %d, outside every fetched window", v, k)
+			}
+		}
+		if err != nil {
+			return
+		}
+		// Accepted: the body must frame exactly the expected header,
+		// sources and counts, and the windows must hold its payloads.
+		var hdr bytes.Buffer
+		binary.Write(&hdr, binary.LittleEndian, want)
+		if !bytes.HasPrefix(body, hdr.Bytes()) {
+			t.Fatalf("accepted a body whose header is not the expected one: % x", body[:min(len(body), 36)])
+		}
+		pos := hdr.Len()
+		word := func(size int) int64 {
+			if pos+size > len(body) {
+				t.Fatalf("accepted a body cut at %d", len(body))
+			}
+			var v int64
+			if size == 4 {
+				v = int64(int32(binary.LittleEndian.Uint32(body[pos:])))
+			} else {
+				v = int64(binary.LittleEndian.Uint64(body[pos:]))
+			}
+			pos += size
+			return v
+		}
+		for i := sLo; i < sHi; i++ {
+			if got := word(4); got != int64(i) {
+				t.Fatalf("accepted source %d where %d was due", got, i)
+			}
+			for j, seg := range segs(i) {
+				if got := word(8); got != a.At(i, tLo+j) {
+					t.Fatalf("accepted count %d for a[%d][%d] = %d", got, i, tLo+j, a.At(i, tLo+j))
+				}
+				for _, v := range seg {
+					if got := word(8); got != v {
+						t.Fatalf("window holds %d where the body sent %d", v, got)
+					}
+				}
+			}
+		}
+	})
 }

@@ -90,7 +90,7 @@ func TestPermuteSliceCGMMatchesBlockedPermute(t *testing.T) {
 // TestArrangeRowMatchesRoute: ArrangeRow must consume the stream exactly
 // as routeBlock does, and the segments it induces must reproduce
 // routeBlock's writes (source order within a target, targets laid out by
-// scatterStarts).
+// ScatterStarts).
 func TestArrangeRowMatchesRoute(t *testing.T) {
 	row := []int64{3, 0, 4, 2}
 	src := []int64{10, 11, 12, 13, 14, 15, 16, 17, 18}

@@ -32,7 +32,7 @@ func TestScatterStarts(t *testing.T) {
 	copy(a.Row(0), []int64{1, 0, 2})
 	copy(a.Row(1), []int64{1, 1, 2})
 	colOff := []int64{0, 2, 3}
-	st := scatterStarts(a, colOff)
+	st := ScatterStarts(a, colOff)
 	want := [][]int64{{0, 2, 3}, {1, 2, 5}}
 	for i := range want {
 		for j := range want[i] {

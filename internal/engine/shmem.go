@@ -115,7 +115,7 @@ func permute[T any](in [][]T, outSizes []int64, opt Options) ([]T, [][]T, error)
 		colOff[j] = run
 		run += s
 	}
-	starts := scatterStarts(a, colOff)
+	starts := ScatterStarts(a, colOff)
 
 	// Phase 2: scatter every source block straight into the output
 	// (the paper's phases 1 and 3 fused into a single pass, see
@@ -212,12 +212,12 @@ func shuffleX[T any](rng *xrand.Xoshiro256, x []T) {
 	}
 }
 
-// scatterStarts converts the communication matrix into absolute write
+// ScatterStarts converts the communication matrix into absolute write
 // offsets: starts[i][j] is where source i's items for target j begin in
 // the flat output. Within target j's range (beginning at colOff[j]) the
 // sources are laid out in rank order, so the per-(i,j) ranges partition
 // the output slice.
-func scatterStarts(a *commat.Matrix, colOff []int64) [][]int64 {
+func ScatterStarts(a *commat.Matrix, colOff []int64) [][]int64 {
 	fill := append([]int64(nil), colOff...)
 	starts := make([][]int64, a.Rows())
 	for i := range starts {

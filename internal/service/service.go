@@ -614,23 +614,17 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 
 	began := time.Now()
-	served := length
+	var page []int64 // nil: page through the pooled buffer
 	if backend == randperm.BackendCluster && s.node != nil {
 		// Atomic path: a cluster read can fail at any peer at any span
 		// boundary, and the failure-semantics contract (OPERATIONS.md)
-		// promises no partial bytes — so the whole response is assembled
-		// in memory before the first byte goes out. Bounded: cluster
-		// requests passed the MaxN gate, so length ≤ MaxN words.
-		out := make([]int64, length)
-		if _, err := e.pm.Chunk(out, start); err != nil {
-			s.httpError(w, http.StatusInternalServerError, "reading chunk: %v", err)
-			return
-		}
-		bw := textBody(w)
-		if writeDecimals(bw, out) != nil || bw.Flush() != nil {
-			return // client went away
-		}
-	} else if served, ok = s.streamPaged(w, r, e.pm, start, length); !ok {
+		// promises no partial bytes — so the response is one page, read
+		// by one Chunk call before the first byte goes out. Bounded:
+		// cluster requests passed the MaxN gate, so length ≤ MaxN words.
+		page = make([]int64, length)
+	}
+	served, ok := s.streamPaged(w, r, e.pm, start, length, page)
+	if !ok {
 		return
 	}
 	s.met.chunkItems.Add(served)

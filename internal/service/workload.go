@@ -175,7 +175,7 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Permd-Epoch-Mode", mode.String())
 
 	began := time.Now()
-	served, ok := s.streamPaged(w, r, e.pm, start, length)
+	served, ok := s.streamPaged(w, r, e.pm, start, length, nil)
 	if !ok {
 		return
 	}
@@ -185,15 +185,18 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamPaged writes π(start) .. π(start+length-1) one decimal per
-// line, paging through the pooled MaxChunk buffer so a huge range
-// holds O(MaxChunk) memory. It reports the items served and whether
-// the stream completed; error responses (500 before the first byte,
-// truncation after) are handled here. Shared by the chunk and epochs
-// endpoints — callers own their endpoint-specific metrics.
-func (s *Server) streamPaged(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64) (int64, bool) {
-	bufp := s.bufs.Get().(*[]int64)
-	defer s.bufs.Put(bufp)
-	buf := *bufp
+// line, paging through buf — the pooled MaxChunk buffer when buf is
+// nil, so a huge range holds O(MaxChunk) memory. It reports the items
+// served and whether the stream completed; error responses (500 before
+// the first byte, truncation after) are handled here. Shared by the
+// chunk and epochs endpoints — callers own their endpoint-specific
+// metrics.
+func (s *Server) streamPaged(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64, buf []int64) (int64, bool) {
+	if buf == nil {
+		bufp := s.bufs.Get().(*[]int64)
+		defer s.bufs.Put(bufp)
+		buf = *bufp
+	}
 	bw := textBody(w)
 	served := int64(0)
 	for served < length {
