@@ -132,9 +132,18 @@ type Node struct {
 	lru    *list.List                 // front = most recently used
 
 	// Traffic counters; counters() (http.go) names and describes each.
-	exchangeReqs, exchangeItems, chunkReqs, chunkItems atomic.Int64
-	proxyReqs, proxyItems, shardBuilds, shardBuildNs   atomic.Int64
-	hedgedReqs, hedgeWins, failovers, joinReqs         atomic.Int64
+	exchangeReqs  atomic.Int64
+	exchangeItems atomic.Int64
+	chunkReqs     atomic.Int64
+	chunkItems    atomic.Int64
+	proxyReqs     atomic.Int64
+	proxyItems    atomic.Int64
+	shardBuilds   atomic.Int64
+	shardBuildNs  atomic.Int64
+	hedgedReqs    atomic.Int64
+	hedgeWins     atomic.Int64
+	failovers     atomic.Int64
+	joinReqs      atomic.Int64
 }
 
 // New validates cfg and returns the node. It performs no network I/O:

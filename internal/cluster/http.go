@@ -325,7 +325,7 @@ func (nd *Node) handleExchange(w http.ResponseWriter, r *http.Request) {
 			shipped += int64(len(seg))
 		}
 	}
-	if bw.Flush() == nil { // a write error sticks in bw: every byte went out
+	if bw.Flush() == nil { // write errors stick in bw: all of it went out
 		nd.exchangeItems.Add(shipped)
 	}
 }
@@ -379,7 +379,7 @@ func decodeExchange(r io.Reader, want exchangeHeader, segs func(i int) [][]int64
 		return fmt.Errorf("reading header: %v", err)
 	}
 	var h exchangeHeader
-	binary.Decode(raw[:], binary.LittleEndian, &h)
+	binary.Decode(raw[:], binary.LittleEndian, &h) // raw is exactly the header's size
 	if h != want {
 		return fmt.Errorf("config echo mismatch: got (seed=%d n=%d p=%d nodes=%d from=%d to=%d), want (%d %d %d %d %d %d)",
 			h.Seed, h.N, h.P, h.Nodes, h.From, h.To, want.Seed, want.N, want.P, want.Nodes, want.From, want.To)
@@ -442,8 +442,8 @@ func readInt64s(br *bufio.Reader, dst []int64) (int, error) {
 	for done < len(dst) {
 		b, err := br.Peek(min(8*(len(dst)-done), br.Size()))
 		m := len(b) / 8
-		binary.Decode(b, binary.LittleEndian, dst[done:done+m])
-		br.Discard(8 * m)
+		binary.Decode(b, binary.LittleEndian, dst[done:done+m]) // b holds the m words
+		br.Discard(8 * m)                                       // already buffered by Peek
 		done += m
 		if err != nil {
 			if err == io.EOF && len(b)%8 != 0 {

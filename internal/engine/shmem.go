@@ -216,7 +216,8 @@ func shuffleX[T any](rng *xrand.Xoshiro256, x []T) {
 // offsets: starts[i][j] is where source i's items for target j begin in
 // the flat output. Within target j's range (beginning at colOff[j]) the
 // sources are laid out in rank order, so the per-(i,j) ranges partition
-// the output slice.
+// the output slice. The cluster's round 2 writes its segments at the
+// same offsets.
 func ScatterStarts(a *commat.Matrix, colOff []int64) [][]int64 {
 	fill := append([]int64(nil), colOff...)
 	starts := make([][]int64, a.Rows())

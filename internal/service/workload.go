@@ -185,12 +185,11 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamPaged writes π(start) .. π(start+length-1) one decimal per
-// line, paging through buf — the pooled MaxChunk buffer when buf is
-// nil, so a huge range holds O(MaxChunk) memory. It reports the items
-// served and whether the stream completed; error responses (500 before
-// the first byte, truncation after) are handled here. Shared by the
-// chunk and epochs endpoints — callers own their endpoint-specific
-// metrics.
+// line, paging through buf (nil: the pooled MaxChunk buffer, so a huge
+// range holds O(MaxChunk) memory). It reports the items served and
+// whether the stream completed; error responses (500 before the first
+// byte, truncation after) are handled here. Shared by the chunk and
+// epochs endpoints — callers own their endpoint-specific metrics.
 func (s *Server) streamPaged(w http.ResponseWriter, r *http.Request, pm *randperm.Permuter, start, length int64, buf []int64) (int64, bool) {
 	if buf == nil {
 		bufp := s.bufs.Get().(*[]int64)
